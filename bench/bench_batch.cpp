@@ -6,45 +6,37 @@
 // ready-flag publish per row (self-executing) regardless of the batch
 // width k. This driver measures ms-per-rhs of the fused ILU(0) apply
 // (L then U solve) for k in {1, 4, 16} against k sequential single-RHS
-// kernel solves, plus the single-RHS lambda-vs-kernel control: the
-// classic per-call capturing-lambda body (the pre-kernel-layer solver
-// path) timed side by side with the bound-kernel path in the same
-// binary.
+// kernel solves.
 //
 // Unlike the table benches this driver is NOT work-amplified: the point
 // is the real synchronization-to-compute ratio of the raw numeric
 // kernel, which is exactly what batching improves. (RTL_AMP is recorded
 // in the JSON config but unused here.)
 //
-// The driver also races the barrier (pre-scheduled) scheduler against the
-// pipelined work-stealing one on the same batches, pinned bit-for-bit,
-// and emits the team's synchronization-event counters per path:
+// The same batches also run through the barrier (pre-scheduled)
+// executor, with the team's synchronization-event counters per width:
 // `flag_publishes` and `barrier_waits` are deterministic (unit "count",
-// exact-match gated by scripts/compare_bench.py), `steals` depends on the
-// interleaving (unit "events", informational). On hosts too noisy for
-// wall-clock deltas the counters are the accepted evidence that the
-// pipelined path takes zero per-phase barriers (docs/PERF.md).
+// exact-match gated by scripts/compare_bench.py) — on hosts too noisy for
+// wall-clock deltas they are the accepted evidence for scheduler claims
+// (docs/PERF.md).
 //
-// PR 9 additions, same in-binary A/B discipline: every batched record
-// gets a `scalar_*` twin timed through the scalar dispatch
-// (select_simd(false)) and pinned bit-for-bit against the SIMD one; the
-// SpMV kernel family gets its own `spmv_k*` sweep; the float32-storage
+// The SpMV kernel family gets its own `spmv_k*` sweep; the float32-storage
 // apply (`batch_f32_k16_*`) and the column gather/scatter micro-records
 // round out the set. Each kernel record carries its roofline
 // bytes-touched model (`*_bytes`) and achieved bandwidth (`*_gbps`,
 // informational units — not gated).
 //
-// PR 10 additions: the bind-time execution layout (kernel/layout.hpp)
-// gets the same treatment. The un-prefixed records keep their historical
-// meaning — gather dispatch — by pinning select_layout(false) on every
-// timed solver; `layout_*` / `scalar_layout_*` twins then time the packed
-// schedule-order path in the same process, each pinned bit-for-bit
-// against the gather result. `batch_layout_bytes` / `spmv_layout_bytes`
-// record the packing footprint (unit "bytes", exact-match gated: they are
-// deterministic functions of structure and processor count). The
-// RTL_REORDER knob (none/rcm/wavefront) permutes the case matrices before
-// factoring and is stamped into the JSON config so compared runs are
-// always apples-to-apples.
+// The bind-time execution layout (kernel/layout.hpp) is timed in-binary:
+// the un-prefixed records keep their historical meaning — gather
+// dispatch — by pinning select_layout(false) on every timed solver;
+// `layout_*` twins then time the packed schedule-order path in the same
+// process, each pinned bit-for-bit against the gather result.
+// `batch_layout_bytes` / `spmv_layout_bytes` record the packing footprint
+// (unit "bytes", exact-match gated: they are deterministic functions of
+// structure and processor count). The RTL_REORDER knob
+// (none/rcm/wavefront) permutes the case matrices before factoring and is
+// stamped into the JSON config so compared runs are always
+// apples-to-apples.
 
 #include <cctype>
 #include <cstdio>
@@ -64,38 +56,6 @@ namespace {
 
 using namespace rtl;
 using namespace rtl::bench;
-
-/// The pre-kernel-layer solve path: per-call capturing lambdas over the
-/// factors, exactly as `ParallelTriangularSolver` was written before the
-/// kernel layer existed. Kept here as the in-binary control for the
-/// lambda-vs-kernel single-RHS comparison.
-void lambda_solve(ThreadTeam& team, const IluFactorization& ilu,
-                  const Plan& lower_plan, const Plan& upper_plan,
-                  std::span<const real_t> rhs, std::span<real_t> tmp,
-                  std::span<real_t> y) {
-  const CsrMatrix& lower = ilu.lower();
-  lower_plan.execute(team, [&](index_t i) {
-    real_t sum = rhs[static_cast<std::size_t>(i)];
-    const auto cs = lower.row_cols(i);
-    const auto vs = lower.row_vals(i);
-    for (std::size_t k = 0; k < cs.size(); ++k) {
-      sum -= vs[k] * tmp[static_cast<std::size_t>(cs[k])];
-    }
-    tmp[static_cast<std::size_t>(i)] = sum;
-  });
-  const CsrMatrix& upper = ilu.upper();
-  const index_t n = upper.rows();
-  upper_plan.execute(team, [&](index_t k) {
-    const index_t row = n - 1 - k;
-    real_t sum = tmp[static_cast<std::size_t>(row)];
-    const auto cs = upper.row_cols(row);
-    const auto vs = upper.row_vals(row);
-    for (std::size_t t = 1; t < cs.size(); ++t) {
-      sum -= vs[t] * y[static_cast<std::size_t>(cs[t])];
-    }
-    y[static_cast<std::size_t>(row)] = sum / vs[0];
-  });
-}
 
 /// The RTL_REORDER knob, normalized to lower case ("none" when unset).
 std::string reorder_mode() {
@@ -146,8 +106,8 @@ int main() {
 
   std::printf("Batched multi-RHS ILU(0) apply, %d procs, %d reps\n", p,
               reps);
-  std::printf("%-8s %12s %12s | %10s %10s %10s  (ms per rhs)\n", "Problem",
-              "lambda k=1", "kernel k=1", "k=1", "k=4", "k=16");
+  std::printf("%-8s %12s | %10s %10s %10s  (ms per rhs)\n", "Problem",
+              "kernel k=1", "k=1", "k=4", "k=16");
 
   std::vector<SolveCase> cases;
   cases.emplace_back(apply_reorder(make_5pt(), reorder));
@@ -161,22 +121,12 @@ int main() {
     // stays comparable, and time the layout path through its own twins.
     solver.kernel().select_layout(false);
 
-    // Single-RHS control pair: the old lambda path vs the bound kernel.
+    // Single-RHS solve through the bound kernel.
     std::vector<real_t> rhs(c.system.rhs);
-    std::vector<real_t> tmp(nz), y_lambda(nz), y_kernel(nz);
-    const Stats lambda_ms = measure_ms(reps, [&] {
-      lambda_solve(team, c.ilu, solver.lower_plan(), solver.upper_plan(),
-                   rhs, tmp, y_lambda);
-    });
+    std::vector<real_t> tmp(nz), y_kernel(nz);
     const Stats kernel_ms = measure_ms(reps, [&] {
       solver.solve(team, rhs, tmp, y_kernel);
     });
-    if (y_lambda != y_kernel) {
-      std::fprintf(stderr, "%s: kernel path diverged from lambda path\n",
-                   c.name.c_str());
-      return 1;
-    }
-    report.add(c.name, "lambda_single_ms", lambda_ms);
     report.add(c.name, "kernel_single_ms", kernel_ms);
     // Kernel-level stats so plan_layout_bytes reflects the lower factor's
     // bind-time packing, not the bare plan's zero.
@@ -185,8 +135,7 @@ int main() {
                       static_cast<double>(solver.kernel().layout_bytes()),
                       "bytes");
 
-    std::printf("%-8s %12.3f %12.3f |", c.name.c_str(), lambda_ms.min,
-                kernel_ms.min);
+    std::printf("%-8s %12.3f |", c.name.c_str(), kernel_ms.min);
 
     // Batched sweeps: per-rhs cost vs batch width, verified against k
     // sequential single-RHS solves.
@@ -234,50 +183,21 @@ int main() {
         return 1;
       }
 
-      // In-binary scalar control: same kernels re-dispatched through the
-      // scalar bodies via select_simd, pinned bit-for-bit against the
-      // default (SIMD when compiled in) batched result. This is the
-      // interleaved A/B pair docs/PERF.md requires — both flavors live in
-      // this binary and this process, so the comparison cannot be
-      // polluted by build or boot-time differences.
-      BatchBuffer bx_scalar(n, k);
-      solver.kernel().select_simd(false);
-      const Stats scalar_ms = measure_ms(reps, [&] {
-        solver.solve(team, brhs.view(), bx_scalar.view());
-      });
-      solver.kernel().select_simd(true);
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          if (bx.view().at(i, j) != bx_scalar.view().at(i, j)) {
-            std::fprintf(stderr,
-                         "%s: scalar k=%d diverged from simd dispatch\n",
-                         c.name.c_str(), k);
-            return 1;
-          }
-        }
-      }
-
-      // Layout twins: the same batch re-solved through the bind-time
-      // packed layout, SIMD and scalar flavors, each pinned bit-for-bit
-      // against the gather results above. The layout is built whenever it
-      // is compiled in (the env only picks the bind default), so one
-      // binary carries the whole gather-vs-layout A/B pair — the
-      // interleaved comparison docs/PERF.md requires.
-      BatchBuffer bx_layout(n, k), bx_scalar_layout(n, k);
+      // Layout twin: the same batch re-solved through the bind-time
+      // packed layout, pinned bit-for-bit against the gather result above.
+      // The layout is built whenever it is compiled in (the env only picks
+      // the bind default), so one binary carries the whole
+      // gather-vs-layout A/B pair — the interleaved comparison docs/PERF.md
+      // requires.
+      BatchBuffer bx_layout(n, k);
       solver.kernel().select_layout(true);
       const Stats layout_ms = measure_ms(reps, [&] {
         solver.solve(team, brhs.view(), bx_layout.view());
       });
-      solver.kernel().select_simd(false);
-      const Stats scalar_layout_ms = measure_ms(reps, [&] {
-        solver.solve(team, brhs.view(), bx_scalar_layout.view());
-      });
-      solver.kernel().select_simd(true);
       solver.kernel().select_layout(false);
       for (index_t j = 0; j < k; ++j) {
         for (index_t i = 0; i < n; ++i) {
-          if (bx.view().at(i, j) != bx_layout.view().at(i, j) ||
-              bx.view().at(i, j) != bx_scalar_layout.view().at(i, j)) {
+          if (bx.view().at(i, j) != bx_layout.view().at(i, j)) {
             std::fprintf(stderr,
                          "%s: layout k=%d diverged from gather dispatch\n",
                          c.name.c_str(), k);
@@ -295,18 +215,9 @@ int main() {
                                     "_ms_per_rhs",
                         singles_ms.mean / static_cast<double>(k),
                         "ms-derived");
-      report.add(c.name, "scalar_" + kk + "_solve_ms", scalar_ms);
-      report.add_scalar(c.name, "scalar_" + kk + "_ms_per_rhs",
-                        scalar_ms.mean / static_cast<double>(k),
-                        "ms-derived");
       report.add(c.name, "layout_" + kk + "_solve_ms", layout_ms);
       report.add_scalar(c.name, "layout_" + kk + "_ms_per_rhs",
                         layout_ms.mean / static_cast<double>(k),
-                        "ms-derived");
-      report.add(c.name, "scalar_layout_" + kk + "_solve_ms",
-                 scalar_layout_ms);
-      report.add_scalar(c.name, "scalar_layout_" + kk + "_ms_per_rhs",
-                        scalar_layout_ms.mean / static_cast<double>(k),
                         "ms-derived");
 
       // Roofline traffic of the fused L+U apply at this width, and the
@@ -377,20 +288,15 @@ int main() {
                 layout_mins[2], gather_mins[0], gather_mins[1],
                 gather_mins[2]);
 
-    // Barrier vs pipelined scheduler on the same batches. Same kernel
-    // bodies, same columns; the pipelined result is pinned bit-for-bit to
-    // the barrier result, and the per-path synchronization counters are
-    // emitted alongside the timings.
+    // The barrier (pre-scheduled) executor on the same batches, pinned
+    // bit-for-bit to the default executor's result, with the team's
+    // synchronization counters from one clean solve per width.
     DoconsiderOptions barrier_opts;
     barrier_opts.execution = ExecutionPolicy::kPreScheduled;
-    DoconsiderOptions pipe_opts;
-    pipe_opts.execution = ExecutionPolicy::kPipelined;
     ParallelTriangularSolver barrier_solver(rt, c.ilu, barrier_opts);
-    ParallelTriangularSolver pipe_solver(rt, c.ilu, pipe_opts);
     barrier_solver.kernel().select_layout(false);
-    pipe_solver.kernel().select_layout(false);
     for (const index_t k : widths) {
-      BatchBuffer brhs(n, k), bx_bar(n, k), bx_pipe(n, k);
+      BatchBuffer brhs(n, k), bx(n, k), bx_bar(n, k);
       for (index_t j = 0; j < k; ++j) {
         std::vector<real_t> col(rhs);
         for (auto& v : col) v *= 1.0 + 0.25 * static_cast<real_t>(j);
@@ -399,102 +305,52 @@ int main() {
       const Stats bar_ms = measure_ms(reps, [&] {
         barrier_solver.solve(team, brhs.view(), bx_bar.view());
       });
-      const Stats pipe_ms = measure_ms(reps, [&] {
-        pipe_solver.solve(team, brhs.view(), bx_pipe.view());
-      });
+      solver.solve(team, brhs.view(), bx.view());
       for (index_t j = 0; j < k; ++j) {
         for (index_t i = 0; i < n; ++i) {
-          if (bx_bar.view().at(i, j) != bx_pipe.view().at(i, j)) {
+          if (bx.view().at(i, j) != bx_bar.view().at(i, j)) {
             std::fprintf(stderr,
-                         "%s: pipelined k=%d diverged from barrier path\n",
+                         "%s: barrier k=%d diverged from default executor\n",
                          c.name.c_str(), k);
             return 1;
           }
         }
       }
-      // One un-timed solve pinning the layout dispatch on the pipelined
-      // ragged panels against the barrier gather result.
-      pipe_solver.kernel().select_layout(true);
-      pipe_solver.solve(team, brhs.view(), bx_pipe.view());
-      pipe_solver.kernel().select_layout(false);
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          if (bx_bar.view().at(i, j) != bx_pipe.view().at(i, j)) {
-            std::fprintf(stderr,
-                         "%s: pipelined layout k=%d diverged from barrier "
-                         "gather path\n",
-                         c.name.c_str(), k);
-            return 1;
-          }
-        }
-      }
-      // One clean solve per path with zeroed counters: the timed reps
-      // above already polluted the team's totals.
+      // One clean solve with zeroed counters: the timed reps above
+      // already polluted the team's totals.
       team.reset_exec_counters();
       barrier_solver.solve(team, brhs.view(), bx_bar.view());
       const ExecCounters bar_c = team.exec_counters();
-      team.reset_exec_counters();
-      pipe_solver.solve(team, brhs.view(), bx_pipe.view());
-      const ExecCounters pipe_c = team.exec_counters();
-      if (pipe_c.barrier_waits != 0) {
-        std::fprintf(stderr,
-                     "%s: pipelined k=%d took %llu per-phase barrier "
-                     "waits (must be 0)\n",
-                     c.name.c_str(), k,
-                     static_cast<unsigned long long>(pipe_c.barrier_waits));
-        return 1;
-      }
       const std::string bk = "barrier_k" + std::to_string(k);
-      const std::string pk = "pipe_k" + std::to_string(k);
       report.add(c.name, bk + "_solve_ms", bar_ms);
       report.add_scalar(c.name, bk + "_ms_per_rhs",
                         bar_ms.mean / static_cast<double>(k), "ms-derived");
-      report.add(c.name, pk + "_solve_ms", pipe_ms);
-      report.add_scalar(c.name, pk + "_ms_per_rhs",
-                        pipe_ms.mean / static_cast<double>(k), "ms-derived");
       report.add_scalar(c.name, bk + "_flag_publishes",
                         static_cast<double>(bar_c.flag_publishes), "count");
       report.add_scalar(c.name, bk + "_barrier_waits",
                         static_cast<double>(bar_c.barrier_waits), "count");
-      report.add_scalar(c.name, pk + "_flag_publishes",
-                        static_cast<double>(pipe_c.flag_publishes), "count");
-      report.add_scalar(c.name, pk + "_barrier_waits",
-                        static_cast<double>(pipe_c.barrier_waits), "count");
-      report.add_scalar(c.name, pk + "_steals",
-                        static_cast<double>(pipe_c.steals), "events");
-      std::printf(
-          "%-8s k=%-2d barrier %9.4f ms (%llu waits) | pipelined %9.4f "
-          "ms (%llu pubs, %llu steals)\n",
-          c.name.c_str(), k, bar_ms.min,
-          static_cast<unsigned long long>(bar_c.barrier_waits), pipe_ms.min,
-          static_cast<unsigned long long>(pipe_c.flag_publishes),
-          static_cast<unsigned long long>(pipe_c.steals));
+      std::printf("%-8s k=%-2d barrier %9.4f ms (%llu waits)\n",
+                  c.name.c_str(), k, bar_ms.min,
+                  static_cast<unsigned long long>(bar_c.barrier_waits));
     }
 
     // The second kernel family: batched SpMV through the bound kernel,
-    // with the same in-binary scalar-vs-SIMD control pair and roofline
-    // records. Verified bit-for-bit against k single applies.
+    // with its layout twin and roofline records. Verified bit-for-bit
+    // against k single applies.
     auto spmv = SpMVKernel::bind(c.system.a);
     spmv.select_layout(false);  // un-prefixed records stay gather
     report.add_scalar(c.name, "spmv_layout_bytes",
                       static_cast<double>(spmv.layout_bytes()), "bytes");
     for (const index_t k : widths) {
-      BatchBuffer sx(n, k), sy(n, k), sy_scalar(n, k);
-      BatchBuffer sy_layout(n, k), sy_scalar_layout(n, k);
+      BatchBuffer sx(n, k), sy(n, k), sy_layout(n, k);
       for (index_t j = 0; j < k; ++j) {
         std::vector<real_t> col(rhs);
         for (auto& v : col) v *= 1.0 + 0.25 * static_cast<real_t>(j);
         sx.set_column(j, col);
       }
-      spmv.select_simd(true);
       const Stats spmv_ms = measure_ms(reps, [&] {
         spmv.apply(team, sx.view(), sy.view());
       });
-      spmv.select_simd(false);
-      const Stats spmv_scalar_ms = measure_ms(reps, [&] {
-        spmv.apply(team, sx.view(), sy_scalar.view());
-      });
-      spmv.select_simd(true);
 
       // Layout twins for the SpMV family: compressed-index decode, same
       // accumulation order, pinned bit-for-bit below.
@@ -502,11 +358,6 @@ int main() {
       const Stats spmv_layout_ms = measure_ms(reps, [&] {
         spmv.apply(team, sx.view(), sy_layout.view());
       });
-      spmv.select_simd(false);
-      const Stats spmv_scalar_layout_ms = measure_ms(reps, [&] {
-        spmv.apply(team, sx.view(), sy_scalar_layout.view());
-      });
-      spmv.select_simd(true);
       spmv.select_layout(false);
 
       std::vector<real_t> colx(nz), coly(nz);
@@ -515,12 +366,10 @@ int main() {
         spmv.apply(team, colx, coly);
         for (index_t i = 0; i < n; ++i) {
           if (sy.view().at(i, j) != coly[static_cast<std::size_t>(i)] ||
-              sy.view().at(i, j) != sy_scalar.view().at(i, j) ||
-              sy.view().at(i, j) != sy_layout.view().at(i, j) ||
-              sy.view().at(i, j) != sy_scalar_layout.view().at(i, j)) {
+              sy.view().at(i, j) != sy_layout.view().at(i, j)) {
             std::fprintf(stderr,
-                         "%s: spmv k=%d diverged (batched vs single, simd "
-                         "vs scalar, or layout vs gather)\n",
+                         "%s: spmv k=%d diverged (batched vs single, or "
+                         "layout vs gather)\n",
                          c.name.c_str(), k);
             return 1;
           }
@@ -532,32 +381,19 @@ int main() {
       report.add(c.name, sk + "_apply_ms", spmv_ms);
       report.add_scalar(c.name, sk + "_ms_per_rhs",
                         spmv_ms.mean / static_cast<double>(k), "ms-derived");
-      report.add(c.name, "scalar_" + sk + "_apply_ms", spmv_scalar_ms);
-      report.add_scalar(c.name, "scalar_" + sk + "_ms_per_rhs",
-                        spmv_scalar_ms.mean / static_cast<double>(k),
-                        "ms-derived");
       report.add(c.name, "layout_" + sk + "_apply_ms", spmv_layout_ms);
       report.add_scalar(c.name, "layout_" + sk + "_ms_per_rhs",
                         spmv_layout_ms.mean / static_cast<double>(k),
-                        "ms-derived");
-      report.add(c.name, "scalar_layout_" + sk + "_apply_ms",
-                 spmv_scalar_layout_ms);
-      report.add_scalar(c.name, "scalar_layout_" + sk + "_ms_per_rhs",
-                        spmv_scalar_layout_ms.mean / static_cast<double>(k),
                         "ms-derived");
       report.add_scalar(c.name, sk + "_bytes", sbytes, "bytes");
       report.add_scalar(c.name, sk + "_gbps",
                         sbytes / (spmv_ms.min * 1e6), "GB/s");
       report.add_scalar(c.name, "layout_" + sk + "_gbps",
                         sbytes / (spmv_layout_ms.min * 1e6), "GB/s");
-      std::printf("%-8s spmv k=%-2d simd %9.4f ms | scalar %9.4f ms | "
-                  "layout %9.4f ms\n",
-                  c.name.c_str(), k, spmv_ms.min, spmv_scalar_ms.min,
-                  spmv_layout_ms.min);
+      std::printf("%-8s spmv k=%-2d gather %9.4f ms | layout %9.4f ms\n",
+                  c.name.c_str(), k, spmv_ms.min, spmv_layout_ms.min);
     }
   }
-  report.add_config("simd_compiled", simd_compiled() ? "yes" : "no");
-  report.add_config("simd_bound", simd_bind_default() ? "on" : "off");
   report.add_config("layout_compiled", layout_compiled() ? "yes" : "no");
   report.add_config("layout_bound", layout_bind_default() ? "on" : "off");
   report.add_plan_cache(rt.plan_cache_counters());

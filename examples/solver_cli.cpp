@@ -52,8 +52,8 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--matrix FILE.mtx | --problem NAME] [--procs P]\n"
-      "          [--exec self|pre|doacross|selfsched|windowed|pipelined]\n"
-      "          [--window W] [--panel W] [--sched global|local]\n"
+      "          [--exec self|pre|doacross|selfsched|windowed]\n"
+      "          [--window W] [--sched global|local]\n"
       "          [--level K] [--rtol R] [--maxit N] [--rhs K]\n"
       "          [--reorder none|rcm|wavefront]\n"
       "          [--save-plan F] [--load-plan F]\n"
@@ -135,17 +135,12 @@ int main(int argc, char** argv) {
         opts.execution = ExecutionPolicy::kSelfScheduled;
       } else if (v == "windowed") {
         opts.execution = ExecutionPolicy::kWindowed;
-      } else if (v == "pipelined") {
-        opts.execution = ExecutionPolicy::kPipelined;
       } else {
         return usage(argv[0]);
       }
     } else if (arg == "--window") {
       opts.window = std::atoi(next());
       if (opts.window < 1) return usage(argv[0]);
-    } else if (arg == "--panel") {
-      opts.panel = std::atoi(next());
-      if (opts.panel < 1) return usage(argv[0]);
     } else if (arg == "--reorder") {
       reorder = next();
       if (reorder != "none" && reorder != "rcm" && reorder != "wavefront") {

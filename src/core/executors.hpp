@@ -48,14 +48,6 @@ enum class ExecutionPolicy {
   /// Global barrier every `DoconsiderOptions::window` wavefronts, ready
   /// flags inside each window (extension; cf. Nicol & Saltz [13]).
   kWindowed,
-  /// Barrier-free pipelined executor (the §5 fuzzy-barrier idea taken to
-  /// its limit): work is decomposed into (row, RHS-panel) tasks whose
-  /// readiness is tracked by per-task pending-dependence counters — the
-  /// batch-aware generalization of the Figure 4 ready array — and tasks
-  /// are claimed from per-worker work-stealing deques, so different
-  /// right-hand-side panels occupy different wavefronts simultaneously
-  /// and no phase barrier is ever taken.
-  kPipelined,
 };
 
 /// Plan options.
@@ -67,13 +59,6 @@ struct DoconsiderOptions {
   bool parallel_inspector = false;
   /// kWindowed only: number of wavefronts between global barriers (>= 1).
   index_t window = 4;
-  /// kPipelined only: right-hand-side columns per pipelined panel (>= 1).
-  /// A batched execution of width k is decomposed into ceil(k / panel)
-  /// independent column panels that flow through the dependence DAG
-  /// concurrently; k = 1 (and any non-panel-aware body) always runs as a
-  /// single panel. Smaller panels pipeline more aggressively but multiply
-  /// the pending-counter working set.
-  index_t panel = 4;
   /// kPreScheduled / kSelfExecuting only: run the §5.1.2 rotating
   /// instrumented variant — every processor executes all schedules, so the
   /// run is perfectly load balanced, does P times the work, keeps all
@@ -93,11 +78,6 @@ struct DoconsiderOptions {
     if (o.window < 1) o.window = 1;
   } else {
     o.window = 0;
-  }
-  if (o.execution == ExecutionPolicy::kPipelined) {
-    if (o.panel < 1) o.panel = 1;
-  } else {
-    o.panel = 0;
   }
   if (o.execution != ExecutionPolicy::kPreScheduled &&
       o.execution != ExecutionPolicy::kSelfExecuting) {
@@ -125,31 +105,6 @@ inline void invoke_body(Body& body, int tid, index_t i) {
     body(tid, i);
   } else {
     body(i);
-  }
-}
-
-/// Whether a loop body understands column panels — i.e. accepts a
-/// half-open RHS-column range `[j0, j1)` after the iteration index. Only
-/// panel-aware bodies can be decomposed across panels by the pipelined
-/// executor; any other body is run as one full-width panel.
-template <class Body>
-inline constexpr bool is_panel_body_v =
-    std::is_invocable_v<Body&, int, index_t, index_t, index_t> ||
-    std::is_invocable_v<Body&, index_t, index_t, index_t>;
-
-/// Invoke a body for iteration `i` restricted to RHS columns `[j0, j1)`.
-/// Falls back to the full-sweep `invoke_body` form for bodies without a
-/// panel overload (the caller must then use a single panel).
-template <class Body>
-inline void invoke_panel_body(Body& body, int tid, index_t i, index_t j0,
-                              index_t j1) {
-  if constexpr (std::is_invocable_v<Body&, int, index_t, index_t, index_t>) {
-    body(tid, i, j0, j1);
-  } else if constexpr (std::is_invocable_v<Body&, index_t, index_t,
-                                           index_t>) {
-    body(i, j0, j1);
-  } else {
-    invoke_body(body, tid, i);
   }
 }
 

@@ -17,7 +17,6 @@
 #include "graph/wavefront.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/ready_flags.hpp"
-#include "runtime/spin_wait.hpp"
 #include "runtime/thread_team.hpp"
 
 /// Plan/Runtime API v2 — the inspector artifact and its execution engine.
@@ -72,12 +71,10 @@ struct PlanStats {
   std::size_t layout_bytes = 0;
 };
 
-/// Per-execution mutable state: the shared ready array, the
-/// self-scheduling cursor, and — for the pipelined executor — the
-/// per-(row, panel) pending-dependence counters. One ExecState serves one
-/// execution at a time; distinct concurrent executions of the same `Plan`
-/// need distinct states (pass none to `Plan::execute` and one is pooled
-/// automatically).
+/// Per-execution mutable state: the shared ready array and the
+/// self-scheduling cursor. One ExecState serves one execution at a time;
+/// distinct concurrent executions of the same `Plan` need distinct states
+/// (pass none to `Plan::execute` and one is pooled automatically).
 class ExecState {
  public:
   /// State sized for `plan` (ready flags only when its policy uses them).
@@ -91,47 +88,9 @@ class ExecState {
   [[nodiscard]] ReadyFlags& ready() noexcept { return ready_; }
   [[nodiscard]] std::atomic<index_t>& cursor() noexcept { return cursor_; }
 
-  /// Declare the batch width of the next execution (>= 1). This makes the
-  /// ready flags batch-aware without widening them: with width k, a
-  /// published flag i promises that iteration i's results for **all** k
-  /// right-hand sides are visible — batched bodies complete the full
-  /// k-sweep of an iteration before the executor publishes its flag, so
-  /// one flag per iteration (and one barrier per phase) suffices for any
-  /// k. Called by `Plan::execute_batch` with the batch width and by plain
-  /// `Plan::execute` with 1 — the width is an execution property, never a
-  /// sticky leftover, because the pipelined executor derives its panel
-  /// decomposition (and its flag-array sizing) from it.
-  void prepare_batch(index_t width) noexcept {
-    assert(width >= 1);
-    batch_width_ = width;
-  }
-  /// Batch width declared for the current/last execution (1 by default).
-  [[nodiscard]] index_t batch_width() const noexcept { return batch_width_; }
-
-  /// Pending-dependence counters for `total` (row, panel) tasks of the
-  /// pipelined executor, (re)allocated on demand. Called at the start of
-  /// every pipelined execution: the task count depends on the execution's
-  /// batch width, so a pooled state alternating between widths (k=1 solve
-  /// then k=16 batch on the same plan) must re-validate the sizing each
-  /// time rather than trust whatever a previous execution left behind.
-  [[nodiscard]] std::atomic<index_t>* pending(std::size_t total) {
-    if (pending_.size() < total) {
-      pending_ = std::vector<std::atomic<index_t>>(total);
-    }
-    return pending_.data();
-  }
-
-  /// Unfinished-task countdown of the pipelined executor's current run.
-  [[nodiscard]] std::atomic<std::int64_t>& remaining() noexcept {
-    return remaining_;
-  }
-
  private:
   ReadyFlags ready_;
-  index_t batch_width_ = 1;
-  std::vector<std::atomic<index_t>> pending_;
   alignas(cache_line_size) std::atomic<index_t> cursor_{0};
-  alignas(cache_line_size) std::atomic<std::int64_t> remaining_{0};
 };
 
 /// Immutable, shareable inspector artifact: dependence graph + wavefronts
@@ -154,14 +113,42 @@ class Plan {
   /// by an iteration in `graph().deps(i)`. Const and safe to call
   /// concurrently from distinct teams with distinct states; `team` must
   /// have the processor count the plan was compiled for.
+  ///
+  /// Batched bodies (kernel/bound_kernel.hpp) sweep all k right-hand
+  /// sides of iteration i before returning, so the synchronization cost
+  /// is independent of k: the pre-scheduled executor still pays one
+  /// barrier per wavefront phase and the flag-based executors one ready
+  /// publish per iteration — a published flag i promises iteration i's
+  /// results for every right-hand side.
   template <class Body>
   void execute(ThreadTeam& team, Body&& body, ExecState& state) const {
-    // Plain execute is always a width-1 execution: the pipelined executor
-    // derives its panel decomposition (and pending-array sizing) from the
-    // state's batch width, so a stale width left by an earlier
-    // execute_batch on a pooled state must not leak into this run.
-    state.prepare_batch(1);
-    dispatch(team, body, state);
+    assert(team.size() == nproc_ &&
+           "plan compiled for a different team size");
+    switch (options_.execution) {
+      case ExecutionPolicy::kPreScheduled:
+        if (options_.instrumented) {
+          run_rotating_prescheduled(team, body);
+        } else {
+          run_prescheduled(team, body);
+        }
+        break;
+      case ExecutionPolicy::kSelfExecuting:
+        if (options_.instrumented) {
+          run_rotating_self(team, state.ready(), body);
+        } else {
+          run_self(team, state.ready(), body);
+        }
+        break;
+      case ExecutionPolicy::kDoAcross:
+        run_doacross(team, state.ready(), body);
+        break;
+      case ExecutionPolicy::kSelfScheduled:
+        run_self_scheduled(team, state.ready(), state.cursor(), body);
+        break;
+      case ExecutionPolicy::kWindowed:
+        run_windowed(team, state.ready(), body);
+        break;
+    }
   }
 
   /// Execute with a pooled ExecState: acquires a state from the plan's
@@ -172,29 +159,6 @@ class Plan {
   void execute(ThreadTeam& team, Body&& body) const {
     const StateLease lease(*this);
     execute(team, std::forward<Body>(body), lease.state());
-  }
-
-  /// Batched execution: one run of the planned loop in which `body(i)`
-  /// (or `body(tid, i)`) sweeps all `batch` right-hand sides of iteration
-  /// i before returning. The synchronization cost is independent of the
-  /// batch width — the pre-scheduled executor still pays one barrier per
-  /// wavefront phase and the flag-based executors one ready publish per
-  /// iteration, because `state`'s flags become batch-aware (see
-  /// `ExecState::prepare_batch`). The kernel layer
-  /// (kernel/bound_kernel.hpp) is the intended caller.
-  template <class Body>
-  void execute_batch(ThreadTeam& team, index_t batch, Body&& body,
-                     ExecState& state) const {
-    assert(batch >= 1);
-    state.prepare_batch(batch);
-    dispatch(team, body, state);
-  }
-
-  /// Batched execution with a pooled ExecState.
-  template <class Body>
-  void execute_batch(ThreadTeam& team, index_t batch, Body&& body) const {
-    const StateLease lease(*this);
-    execute_batch(team, batch, std::forward<Body>(body), lease.state());
   }
 
   [[nodiscard]] const DependenceGraph& graph() const noexcept {
@@ -218,11 +182,8 @@ class Plan {
     return fingerprint_;
   }
   /// Whether executions under this plan's policy use the ready array.
-  /// (kPipelined tracks readiness in per-task pending counters instead,
-  /// which ExecState allocates lazily per execution width.)
   [[nodiscard]] bool needs_ready_flags() const noexcept {
-    return options_.execution != ExecutionPolicy::kPreScheduled &&
-           options_.execution != ExecutionPolicy::kPipelined;
+    return options_.execution != ExecutionPolicy::kPreScheduled;
   }
 
   /// Bytes of the immutable artifact the executor walks: the dependence
@@ -230,16 +191,11 @@ class Plan {
   /// (Excludes per-execution ExecState pools — those are transient.)
   [[nodiscard]] std::size_t memory_footprint() const noexcept {
     constexpr std::size_t idx = sizeof(index_t);
-    std::size_t entries = graph_.ptr().size() + graph_.adj().size() +
-                          wavefronts_.wave.size() + wavefronts_.order.size() +
-                          wavefronts_.wave_ptr.size() +
-                          schedule_.order.size() + schedule_.proc_ptr.size() +
-                          schedule_.phase_ptr.size();
-    if (options_.execution == ExecutionPolicy::kPipelined) {
-      // The successor CSR the pipelined executor walks to publish
-      // readiness forward.
-      entries += successors_.ptr().size() + successors_.adj().size();
-    }
+    const std::size_t entries =
+        graph_.ptr().size() + graph_.adj().size() + wavefronts_.wave.size() +
+        wavefronts_.order.size() + wavefronts_.wave_ptr.size() +
+        schedule_.order.size() + schedule_.proc_ptr.size() +
+        schedule_.phase_ptr.size();
     return entries * idx;
   }
 
@@ -291,23 +247,13 @@ class Plan {
                                    block_partition(graph_.size(), nproc_));
         break;
     }
-    // The pipelined executor publishes readiness forward (producer ->
-    // consumers), so it needs the successor lists the predecessor CSR
-    // cannot give it in O(deg). Built once at inspector time, like every
-    // other artifact component.
-    if (options_.execution == ExecutionPolicy::kPipelined) {
-      successors_ = graph_.reversed();
-    }
   }
 
   /// Adoption constructor (plan_io deserialization): take a pre-built,
   /// fully validated artifact without running the inspector. `options`
   /// must already be normalized and `fingerprint` must equal
   /// `graph.fingerprint()` — `load_plan` enforces both before reaching
-  /// this point. The successor adjacency of the pipelined executor is the
-  /// one derived component rebuilt here rather than deserialized: it is a
-  /// pure function of the dependence CSR, so rebuilding cannot disagree
-  /// with the image.
+  /// this point.
   Plan(DependenceGraph graph, DoconsiderOptions options, int nproc,
        std::uint64_t fingerprint, WavefrontInfo wavefronts,
        Schedule schedule)
@@ -316,48 +262,7 @@ class Plan {
         nproc_(nproc),
         fingerprint_(fingerprint),
         wavefronts_(std::move(wavefronts)),
-        schedule_(std::move(schedule)) {
-    if (options_.execution == ExecutionPolicy::kPipelined) {
-      successors_ = graph_.reversed();
-    }
-  }
-
-  /// Policy dispatch shared by `execute` (width forced to 1) and
-  /// `execute_batch` (width set by the caller). Private so every entry
-  /// point declares the batch width explicitly before reaching it.
-  template <class Body>
-  void dispatch(ThreadTeam& team, Body& body, ExecState& state) const {
-    assert(team.size() == nproc_ &&
-           "plan compiled for a different team size");
-    switch (options_.execution) {
-      case ExecutionPolicy::kPreScheduled:
-        if (options_.instrumented) {
-          run_rotating_prescheduled(team, body);
-        } else {
-          run_prescheduled(team, body);
-        }
-        break;
-      case ExecutionPolicy::kSelfExecuting:
-        if (options_.instrumented) {
-          run_rotating_self(team, state.ready(), body);
-        } else {
-          run_self(team, state.ready(), body);
-        }
-        break;
-      case ExecutionPolicy::kDoAcross:
-        run_doacross(team, state.ready(), body);
-        break;
-      case ExecutionPolicy::kSelfScheduled:
-        run_self_scheduled(team, state.ready(), state.cursor(), body);
-        break;
-      case ExecutionPolicy::kWindowed:
-        run_windowed(team, state.ready(), body);
-        break;
-      case ExecutionPolicy::kPipelined:
-        run_pipelined(team, state, body);
-        break;
-    }
-  }
+        schedule_(std::move(schedule)) {}
 
   // -------------------------------------------------------------------
   // The executors: transformed loop structures that carry out the
@@ -386,7 +291,7 @@ class Plan {
         bar.wait();
         ++waits;
       }
-      team.add_exec_counters(0, 0, waits);
+      team.add_exec_counters(0, waits);
     });
   }
 
@@ -404,7 +309,7 @@ class Plan {
         ready.set(i);
         ++pubs;
       }
-      team.add_exec_counters(pubs, 0, 0);
+      team.add_exec_counters(pubs, 0);
     });
   }
 
@@ -426,7 +331,7 @@ class Plan {
         ready.set(i);
         ++pubs;
       }
-      team.add_exec_counters(pubs, 0, 0);
+      team.add_exec_counters(pubs, 0);
     });
   }
 
@@ -496,7 +401,7 @@ class Plan {
         ready.set(i);
         ++pubs;
       }
-      team.add_exec_counters(pubs, 0, 0);
+      team.add_exec_counters(pubs, 0);
     });
   }
 
@@ -533,108 +438,7 @@ class Plan {
         bar.wait();
         ++waits;
       }
-      team.add_exec_counters(pubs, 0, waits);
-    });
-  }
-
-  /// Pipelined batched executor (tentpole of the barrier-free direction):
-  /// work is decomposed into (row, RHS-panel) tasks; a task is ready when
-  /// its per-task pending-dependence counter — initialized to the row's
-  /// in-degree — reaches zero. The thread that performs the last decrement
-  /// pushes the task onto its own work-stealing deque; idle members steal
-  /// from peers. There is no per-phase barrier at all: panel p of row i can
-  /// run while panel p' of the same row is still wavefronts behind, so
-  /// different right-hand sides occupy different wavefronts simultaneously.
-  /// The single `bar.wait()` below is the region-entry rendezvous that
-  /// separates counter initialization from execution (counted nowhere: it
-  /// is not a phase barrier).
-  ///
-  /// Tasks hold only *ready* work — nothing in a deque ever waits on a
-  /// flag — so the scheme cannot deadlock regardless of which thread claims
-  /// which task. Termination is a shared countdown of unfinished tasks.
-  ///
-  /// Memory-ordering chain (data written by a producer row is visible to
-  /// every consumer): body writes -> pending fetch_sub(acq_rel) [the last
-  /// decrementer's acquire folds earlier decrementers' writes into its
-  /// history via the release sequence] -> deque push (release on bottom_)
-  /// -> steal/pop (seq_cst loads) -> consumer body reads.
-  template <class Body>
-  void run_pipelined(ThreadTeam& team, ExecState& state, Body& body) const {
-    const index_t n = graph_.size();
-    const index_t k = state.batch_width();
-    // Only panel-aware bodies can run a sub-range of RHS columns; anything
-    // else executes as one full-width panel.
-    index_t panel_w = k;
-    if constexpr (detail::is_panel_body_v<Body>) {
-      panel_w = std::min(std::max<index_t>(options_.panel, 1), k);
-    }
-    const std::uint64_t num_panels =
-        static_cast<std::uint64_t>((k + panel_w - 1) / panel_w);
-    const std::int64_t total =
-        static_cast<std::int64_t>(n) * static_cast<std::int64_t>(num_panels);
-    if (total == 0) return;
-    std::atomic<index_t>* const pending =
-        state.pending(static_cast<std::size_t>(total));
-    std::atomic<std::int64_t>& remaining = state.remaining();
-    remaining.store(total, std::memory_order_relaxed);
-    const int p = team.size();
-    team.run([&](int tid) {
-      WorkStealingDeque& mine = team.deque(tid);
-      // Before the rendezvous: deque is quiescent (no region is running),
-      // so reset is safe; then initialize pending counters for a striped
-      // slice of rows.
-      mine.reset();
-      for (index_t i = tid; i < n; i += p) {
-        const auto deg = static_cast<index_t>(graph_.deps(i).size());
-        for (std::uint64_t pnl = 0; pnl < num_panels; ++pnl) {
-          pending[static_cast<std::uint64_t>(i) * num_panels + pnl].store(
-              deg, std::memory_order_relaxed);
-        }
-      }
-      BarrierToken bar(team.barrier());
-      bar.wait();
-      // Seed: every dependence-free row of this member's schedule slice
-      // enters the deque once per panel. Peers may already be stealing —
-      // push/steal concurrency is exactly what the deque supports.
-      for (const index_t i : schedule_.proc(tid)) {
-        if (graph_.deps(i).empty()) {
-          for (std::uint64_t pnl = 0; pnl < num_panels; ++pnl) {
-            mine.push(static_cast<std::uint64_t>(i) * num_panels + pnl);
-          }
-        }
-      }
-      std::uint64_t pubs = 0;
-      std::uint64_t steals = 0;
-      SpinWait backoff;
-      std::uint64_t task = 0;
-      while (remaining.load(std::memory_order_acquire) > 0) {
-        bool got = mine.pop(task);
-        if (!got) {
-          for (int shift = 1; shift < p && !got; ++shift) {
-            got = team.deque((tid + shift) % p).steal(task);
-          }
-          if (got) ++steals;
-        }
-        if (!got) {
-          backoff.wait_once();
-          continue;
-        }
-        backoff.reset();
-        const auto i = static_cast<index_t>(task / num_panels);
-        const std::uint64_t pnl = task % num_panels;
-        const index_t j0 = static_cast<index_t>(pnl) * panel_w;
-        const index_t j1 = std::min(k, j0 + panel_w);
-        detail::invoke_panel_body(body, tid, i, j0, j1);
-        ++pubs;
-        for (const index_t s : successors_.deps(i)) {
-          if (pending[static_cast<std::uint64_t>(s) * num_panels + pnl]
-                  .fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            mine.push(static_cast<std::uint64_t>(s) * num_panels + pnl);
-          }
-        }
-        remaining.fetch_sub(1, std::memory_order_release);
-      }
-      team.add_exec_counters(pubs, steals, 0);
+      team.add_exec_counters(pubs, waits);
     });
   }
 
@@ -670,9 +474,6 @@ class Plan {
   std::uint64_t fingerprint_;
   WavefrontInfo wavefronts_;
   Schedule schedule_;
-  // Successor lists (graph_ reversed); built only for kPipelined, empty
-  // otherwise.
-  DependenceGraph successors_;
 
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<ExecState>> pool_;

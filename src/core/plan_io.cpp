@@ -203,7 +203,7 @@ Header read_and_validate_header(Source& src) {
   const std::uint32_t scheduling = src.u32();
   const std::uint32_t execution = src.u32();
   const std::uint64_t window = src.u64();
-  const std::uint64_t panel = src.u64();
+  const std::uint64_t reserved = src.u64();
   const std::uint8_t instrumented = src.u8();
   const std::uint8_t parallel_inspector = src.u8();
 
@@ -212,7 +212,7 @@ Header read_and_validate_header(Source& src) {
     fail(PlanIoErrc::kBadHeader, "processor count out of range");
   }
   if (h.n > kMaxIndex || h.edges > kMaxIndex || h.num_waves > kMaxIndex ||
-      h.num_phases > kMaxIndex || window > kMaxIndex || panel > kMaxIndex) {
+      h.num_phases > kMaxIndex || window > kMaxIndex) {
     fail(PlanIoErrc::kBadHeader, "count field exceeds index range");
   }
   if (h.num_phases != h.num_waves) {
@@ -227,8 +227,11 @@ Header read_and_validate_header(Source& src) {
   if (scheduling > static_cast<std::uint32_t>(SchedulingPolicy::kLocalBlock)) {
     fail(PlanIoErrc::kBadHeader, "unknown scheduling policy");
   }
-  if (execution > static_cast<std::uint32_t>(ExecutionPolicy::kPipelined)) {
+  if (execution > static_cast<std::uint32_t>(ExecutionPolicy::kWindowed)) {
     fail(PlanIoErrc::kBadHeader, "unknown execution policy");
+  }
+  if (reserved != 0) {
+    fail(PlanIoErrc::kBadHeader, "reserved header word is not 0");
   }
   if (instrumented > 1 || parallel_inspector > 1) {
     fail(PlanIoErrc::kBadHeader, "boolean field not 0/1");
@@ -236,7 +239,6 @@ Header read_and_validate_header(Source& src) {
   h.options.scheduling = static_cast<SchedulingPolicy>(scheduling);
   h.options.execution = static_cast<ExecutionPolicy>(execution);
   h.options.window = static_cast<index_t>(window);
-  h.options.panel = static_cast<index_t>(panel);
   h.options.instrumented = instrumented != 0;
   h.options.parallel_inspector = parallel_inspector != 0;
   // Plans always carry normalized options (the Plan constructor normalizes
@@ -339,7 +341,7 @@ void save_plan(const Plan& plan, std::ostream& out) {
   sink.u32(static_cast<std::uint32_t>(o.scheduling));
   sink.u32(static_cast<std::uint32_t>(o.execution));
   sink.u64(static_cast<std::uint64_t>(o.window));
-  sink.u64(static_cast<std::uint64_t>(o.panel));
+  sink.u64(0);  // reserved
   sink.u8(o.instrumented ? 1 : 0);
   sink.u8(o.parallel_inspector ? 1 : 0);
 
@@ -485,15 +487,16 @@ std::shared_ptr<const Plan> load_plan_file(const std::string& path) {
 std::string plan_cache_file_name(std::uint64_t fingerprint, index_t n,
                                  index_t edges, int nproc,
                                  const DoconsiderOptions& normalized) {
+  // "c0" is the retired RHS-panel field, kept so cache files written by
+  // earlier builds keep resolving under the same names.
   char buf[128];
   std::snprintf(buf, sizeof buf,
-                "plan-%016llx-n%d-e%d-p%d-s%d-x%d-w%d-c%d-i%d.rtlplan",
+                "plan-%016llx-n%d-e%d-p%d-s%d-x%d-w%d-c0-i%d.rtlplan",
                 static_cast<unsigned long long>(fingerprint),
                 static_cast<int>(n), static_cast<int>(edges), nproc,
                 static_cast<int>(normalized.scheduling),
                 static_cast<int>(normalized.execution),
                 static_cast<int>(normalized.window),
-                static_cast<int>(normalized.panel),
                 normalized.instrumented ? 1 : 0);
   return buf;
 }

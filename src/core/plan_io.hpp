@@ -36,7 +36,7 @@
 ///   56      u32   SchedulingPolicy
 ///   60      u32   ExecutionPolicy
 ///   64      u64   DoconsiderOptions::window  (normalized)
-///   72      u64   DoconsiderOptions::panel   (normalized)
+///   72      u64   reserved, must be 0 (once an executor option)
 ///   80      u8    DoconsiderOptions::instrumented
 ///   81      u8    DoconsiderOptions::parallel_inspector
 ///   -- arrays, back to back (i32 each) --
@@ -58,8 +58,8 @@
 /// wavefronts) are verified before a `Plan` is materialized, and every
 /// violation throws a typed `PlanIoError` — never a crash, hang, or a
 /// malformed plan. A loaded plan is indistinguishable from a freshly
-/// inspected one, including under `ExecutionPolicy::kPipelined` (the
-/// successor adjacency is rebuilt from the dependence CSR at load time).
+/// inspected one. An ExecutionPolicy value this build does not know
+/// (including one of a retired executor) is rejected as `kBadHeader`.
 namespace rtl {
 
 class Plan;

@@ -46,7 +46,6 @@ std::size_t Runtime::PlanKeyHash::operator()(
   mix(static_cast<std::uint64_t>(k.scheduling));
   mix(static_cast<std::uint64_t>(k.execution));
   mix(static_cast<std::uint64_t>(k.window));
-  mix(static_cast<std::uint64_t>(k.panel));
   mix(static_cast<std::uint64_t>(k.instrumented));
   return static_cast<std::size_t>(h);
 }
@@ -68,8 +67,7 @@ std::shared_ptr<const Plan> Runtime::disk_lookup_locked(const PlanKey& key) {
   namespace fs = std::filesystem;
   const DoconsiderOptions normalized{key.scheduling, key.execution,
                                      /*parallel_inspector=*/false,
-                                     key.window, key.panel,
-                                     key.instrumented};
+                                     key.window, key.instrumented};
   const fs::path path =
       fs::path(dir_) / plan_cache_file_name(key.fingerprint, key.n,
                                             key.edges, team_.size(),
@@ -89,7 +87,7 @@ std::shared_ptr<const Plan> Runtime::disk_lookup_locked(const PlanKey& key) {
         plan->graph().num_edges() == key.edges &&
         plan->nproc() == team_.size() && o.scheduling == key.scheduling &&
         o.execution == key.execution && o.window == key.window &&
-        o.panel == key.panel && o.instrumented == key.instrumented) {
+        o.instrumented == key.instrumented) {
       ++disk_hits_;
       return plan;
     }
@@ -125,7 +123,7 @@ std::shared_ptr<const Plan> Runtime::plan_for(DependenceGraph graph,
   const PlanKey key{fingerprint,          graph.size(),
                     graph.num_edges(),    normalized.scheduling,
                     normalized.execution, normalized.window,
-                    normalized.panel,     normalized.instrumented};
+                    normalized.instrumented};
   // `parallel_inspector` is deliberately absent from the key: it changes
   // how fast the artifact is built, never what is built.
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -167,7 +165,7 @@ void Runtime::adopt_plan(std::shared_ptr<const Plan> plan) {
   const DoconsiderOptions& o = plan->options();  // already normalized
   const PlanKey key{plan->fingerprint(), plan->size(),
                     plan->graph().num_edges(), o.scheduling, o.execution,
-                    o.window, o.panel, o.instrumented};
+                    o.window, o.instrumented};
   const std::lock_guard<std::mutex> lock(mutex_);
   if (capacity_ == 0) return;
   if (const auto it = cache_.find(key); it != cache_.end()) {

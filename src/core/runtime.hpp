@@ -157,7 +157,6 @@ class Runtime {
     SchedulingPolicy scheduling;
     ExecutionPolicy execution;
     index_t window;
-    index_t panel;
     bool instrumented;
 
     bool operator==(const PlanKey&) const = default;

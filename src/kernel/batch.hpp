@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "kernel/simd.hpp"
 #include "runtime/types.hpp"
 
 /// Batched right-hand-side views for the kernel layer.
@@ -54,15 +53,14 @@ class BasicConstBatchView {
     return row(i)[j];
   }
 
-  /// Gather column j into `vec` (vec.size() must equal rows()). The
-  /// stride-k loads vectorize as a strided gather (hot on the batched
-  /// Krylov path, where per-column state round-trips through batches).
+  /// Gather column j into `vec` (vec.size() must equal rows()). Hot on
+  /// the batched Krylov path, where per-column state round-trips through
+  /// batches.
   void get_column(index_t j, std::span<T> vec) const {
     assert(static_cast<index_t>(vec.size()) == n_ && j >= 0 && j < k_);
     const T* src = data_ + static_cast<std::size_t>(j);
     const std::size_t w = static_cast<std::size_t>(k_);
     T* dst = vec.data();
-    RTL_SIMD_LOOP
     for (index_t i = 0; i < n_; ++i) {
       dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(i) * w];
     }
@@ -106,7 +104,6 @@ class BasicBatchView {
     T* dst = data_ + static_cast<std::size_t>(j);
     const std::size_t w = static_cast<std::size_t>(k_);
     const T* src = vec.data();
-    RTL_SIMD_LOOP
     for (index_t i = 0; i < n_; ++i) {
       dst[static_cast<std::size_t>(i) * w] = src[static_cast<std::size_t>(i)];
     }
@@ -193,7 +190,6 @@ void convert_batch(BasicConstBatchView<From> src, BasicBatchView<To> dst) {
                             static_cast<std::size_t>(src.width());
   const From* s = src.data();
   To* d = dst.data();
-  RTL_SIMD_LOOP
   for (std::size_t t = 0; t < total; ++t) {
     d[t] = static_cast<To>(s[t]);
   }

@@ -161,26 +161,10 @@ struct UpperSolveLayoutBody {
 // a register chunk or in x itself.
 inline constexpr std::size_t kLaneChunk = 32;
 
-// One inner lane loop, emitted in a SIMD and a scalar flavor selected by
-// the body's compile-time `Simd` flag. `omp simd` asserts only lane
-// independence (true by construction: lanes are distinct batch columns);
-// it never reassociates within a lane, which is what keeps the SIMD and
-// scalar dispatches bit-for-bit identical for the same storage type.
-#define RTL_LANE_LOOP(...)                                      \
-  if constexpr (Simd) {                                         \
-    RTL_SIMD_LOOP                                               \
-    for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }     \
-  } else {                                                      \
-    for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }     \
-  }
-
 /// Batched forward substitution: the k-sweep is the unit-stride inner
 /// loop over the row's contiguous strip; the matrix row is read once for
-/// all k right-hand sides. Panel-aware: the pipelined executor may hand
-/// the body any sub-range [j0, j1) of the RHS columns, and because each
-/// lane's operation sequence is independent of the other lanes, a
-/// panel-sliced solve stays bit-for-bit identical to the full sweep.
-template <typename T, bool Simd>
+/// all k right-hand sides.
+template <typename T>
 struct LowerSolveBatchBody {
   const index_t* row_ptr;
   const index_t* col;
@@ -189,31 +173,33 @@ struct LowerSolveBatchBody {
   T* x;
   index_t k;
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
     const std::size_t w = static_cast<std::size_t>(k);
     T* xi = x + static_cast<std::size_t>(i) * w;
     const T* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
+    for (std::size_t c = 0; c < w; c += kLaneChunk) {
+      const std::size_t m = std::min(kLaneChunk, w - c);
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        acc[jj] = static_cast<real_t>(ri[c + jj]);
+      }
       for (std::size_t t = b; t < e; ++t) {
         const real_t v = val[t];
         const T* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] -= v * static_cast<real_t>(xd[jj]))
+        for (std::size_t jj = 0; jj < m; ++jj) {
+          acc[jj] -= v * static_cast<real_t>(xd[jj]);
+        }
       }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj]))
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        xi[c + jj] = static_cast<T>(acc[jj]);
+      }
     }
   }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
-template <typename T, bool Simd>
+template <typename T>
 struct UpperSolveBatchBody {
   const index_t* row_ptr;
   const index_t* col;
@@ -223,7 +209,7 @@ struct UpperSolveBatchBody {
   index_t n;
   index_t k;
 
-  void operator()(index_t it, index_t j0, index_t j1) const {
+  void operator()(index_t it) const {
     const index_t i = n - 1 - it;
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
@@ -232,27 +218,29 @@ struct UpperSolveBatchBody {
     const T* ri = rhs + static_cast<std::size_t>(i) * w;
     const real_t d = val[b];
     real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
+    for (std::size_t c = 0; c < w; c += kLaneChunk) {
+      const std::size_t m = std::min(kLaneChunk, w - c);
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        acc[jj] = static_cast<real_t>(ri[c + jj]);
+      }
       for (std::size_t t = b + 1; t < e; ++t) {
         const real_t v = val[t];
         const T* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] -= v * static_cast<real_t>(xd[jj]))
+        for (std::size_t jj = 0; jj < m; ++jj) {
+          acc[jj] -= v * static_cast<real_t>(xd[jj]);
+        }
       }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj] / d))
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        xi[c + jj] = static_cast<T>(acc[jj] / d);
+      }
     }
   }
-
-  void operator()(index_t it) const { (*this)(it, 0, k); }
 };
 
 /// Batched layout forward substitution: the chunked lane structure of
 /// LowerSolveBatchBody over the packed value stream. The narrow/wide
-/// branch is taken once per row (per panel), outside the entry loop.
-template <typename T, bool Simd>
+/// branch is taken once per row, outside the entry loop.
+template <typename T>
 struct LowerSolveLayoutBatchBody {
   const ExecutionLayout::Row* meta;
   const real_t* pval;
@@ -263,46 +251,48 @@ struct LowerSolveLayoutBatchBody {
   index_t k;
 
   template <typename Idx>
-  void row(index_t i, index_t j0, index_t j1, const real_t* v,
-           const Idx* ix, index_t base, std::size_t len) const {
+  void row(index_t i, const real_t* v, const Idx* ix, index_t base,
+           std::size_t len) const {
     const std::size_t w = static_cast<std::size_t>(k);
     T* xi = x + static_cast<std::size_t>(i) * w;
     const T* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
+    for (std::size_t c = 0; c < w; c += kLaneChunk) {
+      const std::size_t m = std::min(kLaneChunk, w - c);
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        acc[jj] = static_cast<real_t>(ri[c + jj]);
+      }
       for (std::size_t t = 0; t < len; ++t) {
         const real_t vv = v[t];
         const std::size_t cc =
             static_cast<std::size_t>(base) + static_cast<std::size_t>(ix[t]);
         const T* xd = x + cc * w + c;
-        RTL_LANE_LOOP(acc[jj] -= vv * static_cast<real_t>(xd[jj]))
+        for (std::size_t jj = 0; jj < m; ++jj) {
+          acc[jj] -= vv * static_cast<real_t>(xd[jj]);
+        }
       }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj]))
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        xi[c + jj] = static_cast<T>(acc[jj]);
+      }
     }
   }
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     const ExecutionLayout::Row md = meta[static_cast<std::size_t>(i)];
     const std::size_t len = static_cast<std::size_t>(md.len_narrow >> 1);
     const real_t* v = pval + static_cast<std::size_t>(md.val_off);
     RTL_PREFETCH(v + len);
     if (md.len_narrow & 1) {
-      row(i, j0, j1, v, idx16 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
+      row(i, v, idx16 + static_cast<std::size_t>(md.idx_off), md.col_base,
+          len);
     } else {
-      row(i, j0, j1, v, idx32 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
+      row(i, v, idx32 + static_cast<std::size_t>(md.idx_off), md.col_base,
+          len);
     }
   }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
-template <typename T, bool Simd>
+template <typename T>
 struct UpperSolveLayoutBatchBody {
   const ExecutionLayout::Row* meta;
   const real_t* pval;
@@ -314,48 +304,48 @@ struct UpperSolveLayoutBatchBody {
   index_t k;
 
   template <typename Idx>
-  void row(index_t i, index_t j0, index_t j1, const real_t* v,
-           const Idx* ix, index_t base, std::size_t len) const {
+  void row(index_t i, const real_t* v, const Idx* ix, index_t base,
+           std::size_t len) const {
     const std::size_t w = static_cast<std::size_t>(k);
     T* xi = x + static_cast<std::size_t>(i) * w;
     const T* ri = rhs + static_cast<std::size_t>(i) * w;
     const real_t d = v[0];
     real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
+    for (std::size_t c = 0; c < w; c += kLaneChunk) {
+      const std::size_t m = std::min(kLaneChunk, w - c);
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        acc[jj] = static_cast<real_t>(ri[c + jj]);
+      }
       for (std::size_t t = 1; t < len; ++t) {
         const real_t vv = v[t];
         const std::size_t cc =
             static_cast<std::size_t>(base) + static_cast<std::size_t>(ix[t]);
         const T* xd = x + cc * w + c;
-        RTL_LANE_LOOP(acc[jj] -= vv * static_cast<real_t>(xd[jj]))
+        for (std::size_t jj = 0; jj < m; ++jj) {
+          acc[jj] -= vv * static_cast<real_t>(xd[jj]);
+        }
       }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj] / d))
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        xi[c + jj] = static_cast<T>(acc[jj] / d);
+      }
     }
   }
 
-  void operator()(index_t it, index_t j0, index_t j1) const {
+  void operator()(index_t it) const {
     const ExecutionLayout::Row md = meta[static_cast<std::size_t>(it)];
     const index_t i = n - 1 - it;
     const std::size_t len = static_cast<std::size_t>(md.len_narrow >> 1);
     const real_t* v = pval + static_cast<std::size_t>(md.val_off);
     RTL_PREFETCH(v + len);
     if (md.len_narrow & 1) {
-      row(i, j0, j1, v, idx16 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
+      row(i, v, idx16 + static_cast<std::size_t>(md.idx_off), md.col_base,
+          len);
     } else {
-      row(i, j0, j1, v, idx32 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
+      row(i, v, idx32 + static_cast<std::size_t>(md.idx_off), md.col_base,
+          len);
     }
   }
-
-  void operator()(index_t it) const { (*this)(it, 0, k); }
 };
-
-#undef RTL_LANE_LOOP
 
 }  // namespace
 
@@ -442,12 +432,11 @@ BoundKernel::BoundKernel(std::shared_ptr<const Plan> plan,
       val_(matrix.values().data()),
       n_(matrix.rows()),
       nnz_(matrix.nnz()),
-      kind_(kind),
-      simd_(simd_bind_default()) {
+      kind_(kind) {
   // Build the schedule-order packing whenever the layout path is compiled
   // in — even with the RTL_LAYOUT env override off — so select_layout()
   // can flip an in-binary A/B pair without rebinding. Whether solves use
-  // it by default is the env-controlled bind default, like SIMD.
+  // it by default is the env-controlled bind default.
   if (layout_compiled()) {
     layout_ = std::make_shared<ExecutionLayout>(
         *plan_, matrix.row_ptr(), matrix.col_idx(), matrix.values(),
@@ -491,66 +480,28 @@ void BoundKernel::solve_batch_impl(ThreadTeam& team,
   assert(rhs.rows() == n_ && x.rows() == n_);
   assert(rhs.width() == x.width());
   const index_t k = rhs.width();
-  // The SIMD/scalar and layout/gather bodies are chosen here — bind-time
-  // defaults, overridable through select_simd()/select_layout(); every
-  // flavor is instantiated so the bench's in-binary control pairs compare
-  // real codegen, not a recompile.
+  // The layout/gather body is the bind-time default, overridable through
+  // select_layout(); both flavors are instantiated so the bench's
+  // in-binary control pairs compare real codegen, not a recompile.
   if (layout_on_) {
     const ExecutionLayout& lo = *layout_;
     if (kind_ == KernelKind::kLowerSolve) {
-      if (simd_) {
-        plan_->execute_batch(
-            team, k,
-            LowerSolveLayoutBatchBody<T, true>{lo.rows(), lo.values(),
-                                               lo.idx16(), lo.idx32(),
-                                               rhs.data(), x.data(), k});
-      } else {
-        plan_->execute_batch(
-            team, k,
-            LowerSolveLayoutBatchBody<T, false>{lo.rows(), lo.values(),
-                                                lo.idx16(), lo.idx32(),
-                                                rhs.data(), x.data(), k});
-      }
+      plan_->execute(team, LowerSolveLayoutBatchBody<T>{
+                               lo.rows(), lo.values(), lo.idx16(), lo.idx32(),
+                               rhs.data(), x.data(), k});
     } else {
-      if (simd_) {
-        plan_->execute_batch(
-            team, k,
-            UpperSolveLayoutBatchBody<T, true>{lo.rows(), lo.values(),
-                                               lo.idx16(), lo.idx32(),
-                                               rhs.data(), x.data(), n_, k});
-      } else {
-        plan_->execute_batch(
-            team, k,
-            UpperSolveLayoutBatchBody<T, false>{lo.rows(), lo.values(),
-                                                lo.idx16(), lo.idx32(),
-                                                rhs.data(), x.data(), n_,
-                                                k});
-      }
+      plan_->execute(team, UpperSolveLayoutBatchBody<T>{
+                               lo.rows(), lo.values(), lo.idx16(), lo.idx32(),
+                               rhs.data(), x.data(), n_, k});
     }
     return;
   }
   if (kind_ == KernelKind::kLowerSolve) {
-    if (simd_) {
-      plan_->execute_batch(team, k,
-                           LowerSolveBatchBody<T, true>{
-                               row_ptr_, col_, val_, rhs.data(), x.data(), k});
-    } else {
-      plan_->execute_batch(team, k,
-                           LowerSolveBatchBody<T, false>{
-                               row_ptr_, col_, val_, rhs.data(), x.data(), k});
-    }
+    plan_->execute(team, LowerSolveBatchBody<T>{row_ptr_, col_, val_,
+                                                rhs.data(), x.data(), k});
   } else {
-    if (simd_) {
-      plan_->execute_batch(
-          team, k,
-          UpperSolveBatchBody<T, true>{row_ptr_, col_, val_, rhs.data(),
-                                       x.data(), n_, k});
-    } else {
-      plan_->execute_batch(
-          team, k,
-          UpperSolveBatchBody<T, false>{row_ptr_, col_, val_, rhs.data(),
-                                        x.data(), n_, k});
-    }
+    plan_->execute(team, UpperSolveBatchBody<T>{row_ptr_, col_, val_,
+                                                rhs.data(), x.data(), n_, k});
   }
 }
 

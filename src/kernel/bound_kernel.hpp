@@ -6,7 +6,6 @@
 #include "core/plan.hpp"
 #include "kernel/batch.hpp"
 #include "kernel/layout.hpp"
-#include "kernel/simd.hpp"
 #include "runtime/thread_team.hpp"
 #include "sparse/csr.hpp"
 
@@ -86,15 +85,6 @@ class BoundKernel {
   /// The matrix values stay double — this is a storage-bandwidth
   /// optimization, not a float factorization.
   void solve(ThreadTeam& team, ConstBatchViewF rhs, BatchViewF x);
-
-  /// Override the bind-time SIMD/scalar dispatch (no-op request to
-  /// enable when the library was compiled scalar). Same-precision
-  /// results are bit-for-bit identical across both dispatches; the
-  /// toggle exists for the in-binary scalar-vs-SIMD control pairs in
-  /// bench_batch and the property pins.
-  void select_simd(bool on) noexcept { simd_ = on && simd_compiled(); }
-  /// Which dispatch batched solves currently run.
-  [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
 
   /// Override the bind-time layout/gather dispatch (no-op request to
   /// enable when the library was compiled without layouts). Results are
@@ -179,8 +169,6 @@ class BoundKernel {
   index_t n_ = 0;
   index_t nnz_ = 0;
   KernelKind kind_;
-  // SIMD/scalar body dispatch, captured from simd_bind_default() at bind.
-  bool simd_ = false;
   // Schedule-order packing, built at bind whenever the library has the
   // layout path compiled in (so the in-binary A/B toggle always has both
   // paths available); shared_ptr keeps the kernel cheaply copyable.
@@ -215,15 +203,6 @@ class IluApplyKernel {
   /// sweeps. This is the preconditioner half of the iterative-refinement
   /// story: the Krylov driver keeps residuals/inner products in double.
   void apply(ThreadTeam& team, ConstBatchViewF r, BatchViewF z);
-
-  /// Forwarded dispatch override for both composed kernels.
-  void select_simd(bool on) noexcept {
-    lower_.select_simd(on);
-    upper_.select_simd(on);
-  }
-  [[nodiscard]] bool simd_enabled() const noexcept {
-    return lower_.simd_enabled();
-  }
 
   /// Forwarded layout dispatch override for both composed kernels.
   void select_layout(bool on) noexcept {

@@ -39,12 +39,12 @@
 /// "values may be rewritten in place" contract of BoundKernel still holds
 /// for solver users.
 ///
-/// Dispatch mirrors the PR 9 SIMD pattern: `RTL_LAYOUT` CMake option →
-/// `layout_compiled()`, `RTL_LAYOUT` environment override →
-/// `layout_bind_default()`, and per-kernel `select_layout()` for the
-/// in-binary gather-vs-layout control pairs in bench_batch. When the
-/// library is compiled with layouts off, kernels never build one and
-/// `select_layout(true)` is a no-op request, exactly like `select_simd`.
+/// Dispatch: `RTL_LAYOUT` CMake option → `layout_compiled()`,
+/// `RTL_LAYOUT` environment override → `layout_bind_default()`, and
+/// per-kernel `select_layout()` for the in-binary gather-vs-layout
+/// control pairs in bench_batch. When the library is compiled with
+/// layouts off, kernels never build one and `select_layout(true)` is a
+/// no-op request.
 namespace rtl {
 
 /// True when the library was compiled with the layout path available

@@ -14,21 +14,12 @@ namespace {
 }
 
 // Chunked-lane row product, mirroring the bound-solve bodies: double
-// accumulators regardless of the storage scalar T, lane loops emitted in
-// a SIMD and a scalar flavor. Per lane the accumulation order is exactly
-// the single-vector row sum (stored entries in order), so batched equals
-// k singles bit-for-bit and SIMD equals scalar for the same T.
+// accumulators regardless of the storage scalar T. Per lane the
+// accumulation order is exactly the single-vector row sum (stored entries
+// in order), so batched equals k singles bit-for-bit.
 inline constexpr std::size_t kLaneChunk = 32;
 
-#define RTL_LANE_LOOP(...)                                      \
-  if constexpr (Simd) {                                         \
-    RTL_SIMD_LOOP                                               \
-    for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }     \
-  } else {                                                      \
-    for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }     \
-  }
-
-template <typename T, bool Simd>
+template <typename T>
 void spmv_rows(const index_t* row_ptr, const index_t* col, const real_t* val,
                const T* x, T* y, index_t k, index_t row_begin,
                index_t row_end) {
@@ -40,13 +31,17 @@ void spmv_rows(const index_t* row_ptr, const index_t* col, const real_t* val,
     T* yi = y + static_cast<std::size_t>(i) * w;
     for (std::size_t c = 0; c < w; c += kLaneChunk) {
       const std::size_t m = std::min(kLaneChunk, w - c);
-      RTL_LANE_LOOP(acc[jj] = 0.0)
+      for (std::size_t jj = 0; jj < m; ++jj) acc[jj] = 0.0;
       for (std::size_t t = b; t < e; ++t) {
         const real_t v = val[t];
         const T* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] += v * static_cast<real_t>(xd[jj]))
+        for (std::size_t jj = 0; jj < m; ++jj) {
+          acc[jj] += v * static_cast<real_t>(xd[jj]);
+        }
       }
-      RTL_LANE_LOOP(yi[c + jj] = static_cast<T>(acc[jj]))
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        yi[c + jj] = static_cast<T>(acc[jj]);
+      }
     }
   }
 }
@@ -56,25 +51,29 @@ void spmv_rows(const index_t* row_ptr, const index_t* col, const real_t* val,
 // decode — per-slab u16 deltas when the slab's range allowed it — and an
 // explicit prefetch of the next row's values. Identical accumulation
 // order, so results are bit-for-bit equal to the gather rows.
-template <typename T, bool Simd, typename Idx>
+template <typename T, typename Idx>
 void spmv_row_lanes(const real_t* v, const Idx* ix, index_t base,
                     std::size_t len, const T* x, T* yi, std::size_t w) {
   real_t acc[kLaneChunk];
   for (std::size_t c = 0; c < w; c += kLaneChunk) {
     const std::size_t m = std::min(kLaneChunk, w - c);
-    RTL_LANE_LOOP(acc[jj] = 0.0)
+    for (std::size_t jj = 0; jj < m; ++jj) acc[jj] = 0.0;
     for (std::size_t t = 0; t < len; ++t) {
       const real_t vv = v[t];
       const std::size_t cc =
           static_cast<std::size_t>(base) + static_cast<std::size_t>(ix[t]);
       const T* xd = x + cc * w + c;
-      RTL_LANE_LOOP(acc[jj] += vv * static_cast<real_t>(xd[jj]))
+      for (std::size_t jj = 0; jj < m; ++jj) {
+        acc[jj] += vv * static_cast<real_t>(xd[jj]);
+      }
     }
-    RTL_LANE_LOOP(yi[c + jj] = static_cast<T>(acc[jj]))
+    for (std::size_t jj = 0; jj < m; ++jj) {
+      yi[c + jj] = static_cast<T>(acc[jj]);
+    }
   }
 }
 
-template <typename T, bool Simd>
+template <typename T>
 void spmv_rows_layout(const index_t* row_ptr, const real_t* val,
                       const SpmvLayout& lo, const T* x, T* y, index_t k,
                       index_t row_begin, index_t row_end) {
@@ -91,16 +90,14 @@ void spmv_rows_layout(const index_t* row_ptr, const real_t* val,
                             (b - static_cast<std::size_t>(sl.src_base));
     T* yi = y + static_cast<std::size_t>(i) * w;
     if (sl.narrow) {
-      spmv_row_lanes<T, Simd>(val + b, i16 + pos, sl.col_base, e - b, x, yi,
+      spmv_row_lanes<T>(val + b, i16 + pos, sl.col_base, e - b, x, yi,
                               w);
     } else {
-      spmv_row_lanes<T, Simd>(val + b, i32 + pos, sl.col_base, e - b, x, yi,
+      spmv_row_lanes<T>(val + b, i32 + pos, sl.col_base, e - b, x, yi,
                               w);
     }
   }
 }
-
-#undef RTL_LANE_LOOP
 
 }  // namespace
 
@@ -136,8 +133,7 @@ SpMVKernel::SpMVKernel(const CsrMatrix& a)
       val_(a.values().data()),
       rows_(a.rows()),
       cols_(a.cols()),
-      nnz_(a.nnz()),
-      simd_(simd_bind_default()) {
+      nnz_(a.nnz()) {
   // Mirrors BoundKernel: the compressed-index layout is built whenever it
   // is compiled in, so select_layout() can flip an in-binary A/B pair;
   // the env-controlled bind default decides whether applies use it.
@@ -151,8 +147,7 @@ void SpMVKernel::apply(ThreadTeam& team, std::span<const real_t> x,
                        std::span<real_t> y) const {
   assert(static_cast<index_t>(x.size()) == cols_);
   assert(static_cast<index_t>(y.size()) == rows_);
-  // Single-vector row sums are gather-reductions — nothing for the lane
-  // dispatch to vectorize — so this path is one scalar body per data
+  // Single-vector row sums are gather-reductions: one body per data
   // layout.
   const index_t* row_ptr = row_ptr_;
   const real_t* val = val_;
@@ -219,26 +214,14 @@ void SpMVKernel::apply_batch_impl(ThreadTeam& team,
   T* yp = y.data();
   if (layout_on_) {
     const SpmvLayout* lo = layout_.get();
-    if (simd_) {
-      team.parallel_blocks(rows_, [=](int, index_t b, index_t e) {
-        spmv_rows_layout<T, true>(row_ptr, val, *lo, xp, yp, k, b, e);
-      });
-    } else {
-      team.parallel_blocks(rows_, [=](int, index_t b, index_t e) {
-        spmv_rows_layout<T, false>(row_ptr, val, *lo, xp, yp, k, b, e);
-      });
-    }
+    team.parallel_blocks(rows_, [=](int, index_t b, index_t e) {
+      spmv_rows_layout<T>(row_ptr, val, *lo, xp, yp, k, b, e);
+    });
     return;
   }
-  if (simd_) {
-    team.parallel_blocks(rows_, [=](int, index_t b, index_t e) {
-      spmv_rows<T, true>(row_ptr, col, val, xp, yp, k, b, e);
-    });
-  } else {
-    team.parallel_blocks(rows_, [=](int, index_t b, index_t e) {
-      spmv_rows<T, false>(row_ptr, col, val, xp, yp, k, b, e);
-    });
-  }
+  team.parallel_blocks(rows_, [=](int, index_t b, index_t e) {
+    spmv_rows<T>(row_ptr, col, val, xp, yp, k, b, e);
+  });
 }
 
 void SpMVKernel::apply(ThreadTeam& team, ConstBatchView x, BatchView y) const {

@@ -5,7 +5,6 @@
 
 #include "kernel/batch.hpp"
 #include "kernel/layout.hpp"
-#include "kernel/simd.hpp"
 #include "runtime/thread_team.hpp"
 #include "sparse/csr.hpp"
 
@@ -19,7 +18,7 @@
 /// same as for the solves — structure validation and pointer resolution
 /// happen once at setup instead of on every Krylov iteration, batched
 /// n×k products run through the same row-major `BatchView`s with one
-/// row-read for all k lanes, and the SIMD/scalar and mixed-precision
+/// row-read for all k lanes, and the layout and mixed-precision
 /// dispatches hang off the kernel object. With this family the *full*
 /// PCG/GMRES iteration runs through bound kernels (`SpMVKernel` for A,
 /// `IluApplyKernel` for M^{-1}); no `par_spmv` call remains in
@@ -52,10 +51,6 @@ class SpMVKernel {
   /// Mixed-precision batched product: float32 storage for x and y,
   /// double accumulation of every row sum (matrix values stay double).
   void apply(ThreadTeam& team, ConstBatchViewF x, BatchViewF y) const;
-
-  /// Override the bind-time SIMD/scalar dispatch (see BoundKernel).
-  void select_simd(bool on) noexcept { simd_ = on && simd_compiled(); }
-  [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
 
   /// Override the bind-time layout/gather dispatch (see BoundKernel).
   /// The SpMV layout compresses column indices only — values stream from
@@ -103,7 +98,6 @@ class SpMVKernel {
   index_t rows_ = 0;
   index_t cols_ = 0;
   index_t nnz_ = 0;
-  bool simd_ = false;
   // Per-slab compressed column indices, built at bind when compiled in.
   std::shared_ptr<SpmvLayout> layout_;
   bool layout_on_ = false;

@@ -40,10 +40,6 @@ ThreadTeam::ThreadTeam(int num_threads)
                  "\n",
                  num_threads, hw);
   }
-  deques_.reserve(static_cast<std::size_t>(num_threads));
-  for (int tid = 0; tid < num_threads; ++tid) {
-    deques_.emplace_back(std::make_unique<WorkStealingDeque>());
-  }
   workers_.reserve(static_cast<std::size_t>(num_threads - 1));
   for (int tid = 1; tid < num_threads; ++tid) {
     workers_.emplace_back([this, tid] { worker_loop(tid); });

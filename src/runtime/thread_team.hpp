@@ -5,14 +5,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "runtime/barrier.hpp"
 #include "runtime/types.hpp"
-#include "runtime/work_deque.hpp"
 
 /// Persistent SPMD thread team — the "multiprocessor" substrate.
 ///
@@ -31,17 +29,16 @@ namespace rtl {
 /// Synchronization-event counters accumulated across executor runs on a
 /// team. These are the noise-immune evidence for scheduler claims on
 /// hosts where wall time is dominated by run-to-run jitter (docs/PERF.md):
-/// `flag_publishes` and `barrier_waits` are deterministic per execution,
-/// `steals` depends on the actual interleaving.
+/// both are deterministic per execution.
 struct ExecCounters {
-  /// Per-(row[, panel]) completion publications: `ReadyFlags::set` calls
-  /// of the flag-based executors, task completions of the pipelined one.
+  /// Per-row completion publications: `ReadyFlags::set` calls of the
+  /// flag-based executors.
   std::uint64_t flag_publishes = 0;
-  /// Successful work-stealing deque steals (pipelined executor only).
+  /// Always 0: no executor steals work. The field keeps its position so
+  /// the metrics wire format and aggregate initializers stay unchanged.
   std::uint64_t steals = 0;
   /// Per-phase barrier arrivals (pre-scheduled / windowed executors; one
-  /// count per thread per phase boundary). The pipelined executor's single
-  /// region-entry rendezvous is not a phase barrier and is not counted.
+  /// count per thread per phase boundary).
   std::uint64_t barrier_waits = 0;
 };
 
@@ -92,36 +89,25 @@ class ThreadTeam {
   void parallel_blocks(index_t n,
                        const std::function<void(int, index_t, index_t)>& f);
 
-  /// Member `tid`'s work-stealing deque. Owned by the team so the buffers
-  /// amortize across executions; the ownership contract is the deque's
-  /// (push/pop/reset by member `tid` only, steal from anywhere inside a
-  /// region).
-  [[nodiscard]] WorkStealingDeque& deque(int tid) noexcept {
-    return *deques_[static_cast<std::size_t>(tid)];
-  }
-
   /// Accumulate per-thread synchronization-event counts. Executors call
   /// this once per member at region end with locally-accumulated values
   /// (never per event — the counters must not perturb the hot loops).
-  void add_exec_counters(std::uint64_t flag_publishes, std::uint64_t steals,
+  void add_exec_counters(std::uint64_t flag_publishes,
                          std::uint64_t barrier_waits) noexcept {
     flag_publishes_.fetch_add(flag_publishes, std::memory_order_relaxed);
-    steals_.fetch_add(steals, std::memory_order_relaxed);
     barrier_waits_.fetch_add(barrier_waits, std::memory_order_relaxed);
   }
 
   /// Snapshot of the counters accumulated since construction or the last
   /// `reset_exec_counters`. Read between regions for exact values.
   [[nodiscard]] ExecCounters exec_counters() const noexcept {
-    return {flag_publishes_.load(std::memory_order_relaxed),
-            steals_.load(std::memory_order_relaxed),
+    return {flag_publishes_.load(std::memory_order_relaxed), 0,
             barrier_waits_.load(std::memory_order_relaxed)};
   }
 
   /// Zero the counters (between regions).
   void reset_exec_counters() noexcept {
     flag_publishes_.store(0, std::memory_order_relaxed);
-    steals_.store(0, std::memory_order_relaxed);
     barrier_waits_.store(0, std::memory_order_relaxed);
   }
 
@@ -131,13 +117,8 @@ class ThreadTeam {
   const int num_threads_;
   SpinBarrier barrier_;
 
-  // One work-stealing deque per member (unique_ptr: the deque pins its
-  // cache-line alignment and is neither movable nor copyable).
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
-
   // Synchronization-event counters (see ExecCounters).
   std::atomic<std::uint64_t> flag_publishes_{0};
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> barrier_waits_{0};
 
   std::vector<std::thread> workers_;

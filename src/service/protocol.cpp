@@ -198,7 +198,7 @@ void encode_payload(Writer& w, const MetricsResultMsg& m) {
   w.u64(s.cache.disk_writes);
   w.u64(s.cache.disk_rejects);
   w.u64(s.exec.flag_publishes);
-  w.u64(s.exec.steals);
+  w.u64(s.exec.steals);  // always 0; kept so the wire layout is unchanged
   w.u64(s.exec.barrier_waits);
   w.u64(s.team_size);
 }

@@ -297,7 +297,13 @@ std::shared_ptr<SolveService::FactorEntry> SolveService::build_entry(
   } catch (const std::invalid_argument& e) {
     fail(ServiceErrc::kBadRequest, e.what());
   }
-  entry->precond->factor(runtime_.team(), entry->a);
+  try {
+    entry->precond->factor(runtime_.team(), entry->a);
+  } catch (const ZeroPivotError& e) {
+    fail(ServiceErrc::kBadRequest,
+         "matrix is singular under ILU(" + std::to_string(level) +
+             "): zero pivot in row " + std::to_string(e.row()));
+  }
   return entry;
 }
 

@@ -44,14 +44,13 @@
 ///
 /// **Aggregation**: one solver thread drains the whole queue at a time
 /// and groups adjacent solve requests by factorization entry; each group
-/// becomes a single `apply_batch` call of width k (panel-pipelined when
-/// the configured options say so), so the per-wavefront synchronization
-/// is paid once for k concurrent clients — service throughput inherits
-/// the measured ~12-15x per-RHS amortization of batched kernels. FIFO
-/// processing order is preserved across *control* requests (an upload
-/// always completes before a later solve that names it), and within a
-/// batch, column j is request j of the group — completions map back to
-/// their callbacks exactly once, in group order.
+/// becomes a single `apply_batch` call of width k, so the per-wavefront
+/// synchronization is paid once for k concurrent clients — service
+/// throughput inherits the measured ~12-15x per-RHS amortization of
+/// batched kernels. FIFO processing order is preserved across *control*
+/// requests (an upload always completes before a later solve that names
+/// it), and within a batch, column j is request j of the group —
+/// completions map back to their callbacks exactly once, in group order.
 ///
 /// The single consumer is also the concurrency story: only the solver
 /// thread ever touches the Runtime's `ThreadTeam` (whose `run` is not

@@ -1,5 +1,7 @@
 #include "solver/ilu_preconditioner.hpp"
 
+#include <atomic>
+
 #include "sparse/parallel_ops.hpp"
 
 namespace rtl {
@@ -7,14 +9,23 @@ namespace rtl {
 namespace {
 
 /// The Figure 13 loop body as a named functor: one row elimination per
-/// executor iteration, with the per-thread workspace selected by tid.
+/// executor iteration, with the per-thread workspace selected by tid. A
+/// failing row is recorded (lowest row wins), never thrown: peers may be
+/// busy-waiting on its ready flag.
 struct FactorRowBody {
   IluFactorization* ilu;
   const CsrMatrix* a;
   IluFactorization::Workspace* workspaces;
+  std::atomic<index_t>* first_failed;
 
   void operator()(int tid, index_t i) const {
-    ilu->factor_row(*a, i, workspaces[static_cast<std::size_t>(tid)]);
+    if (ilu->factor_row(*a, i, workspaces[static_cast<std::size_t>(tid)])) {
+      return;
+    }
+    index_t cur = first_failed->load(std::memory_order_relaxed);
+    while (i < cur && !first_failed->compare_exchange_weak(
+                          cur, i, std::memory_order_relaxed)) {
+    }
   }
 };
 
@@ -43,7 +54,15 @@ void IluPreconditioner::init_workspaces(int team_size) {
 }
 
 void IluPreconditioner::factor(ThreadTeam& team, const CsrMatrix& a) {
-  factor_plan_->execute(team, FactorRowBody{&ilu_, &a, workspaces_.data()});
+  const index_t none = ilu_.size();
+  std::atomic<index_t> first_failed{none};
+  factor_plan_->execute(
+      team, FactorRowBody{&ilu_, &a, workspaces_.data(), &first_failed});
+  // The region has joined: every member's store is visible here.
+  if (const index_t row = first_failed.load(std::memory_order_relaxed);
+      row != none) {
+    throw ZeroPivotError(row);
+  }
   // The factorization rewrote L/U values in place; the solve kernels'
   // execution layouts hold packed *copies* of those values, so re-gather
   // them before the next apply (no-op on a gather-only build).

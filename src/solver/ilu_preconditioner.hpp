@@ -39,6 +39,9 @@ class IluPreconditioner : public Preconditioner {
 
   /// Parallel numeric factorization of `a` over the fixed pattern.
   /// `a` must have the structure the preconditioner was built with.
+  /// Throws `ZeroPivotError` after the parallel region has joined when a
+  /// pivot is zero; the preconditioner must then be re-factored before
+  /// its next apply.
   void factor(ThreadTeam& team, const CsrMatrix& a);
 
   /// z <- U^{-1} L^{-1} r.

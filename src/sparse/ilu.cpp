@@ -162,11 +162,13 @@ DependenceGraph IluFactorization::row_dependences() const {
 
 void IluFactorization::factor(const CsrMatrix& a) {
   Workspace ws(size());
-  for (index_t i = 0; i < size(); ++i) factor_row(a, i, ws);
+  for (index_t i = 0; i < size(); ++i) {
+    if (!factor_row(a, i, ws)) throw ZeroPivotError(i);
+  }
 }
 
-void IluFactorization::factor_row(const CsrMatrix& a, index_t i,
-                                  Workspace& ws) {
+bool IluFactorization::factor_row(const CsrMatrix& a, index_t i,
+                                  Workspace& ws) noexcept {
   // Generation-stamped dense accumulator: stamp marks which columns belong
   // to this row's retained pattern.
   const index_t gen = ++ws.gen_;
@@ -199,9 +201,7 @@ void IluFactorization::factor_row(const CsrMatrix& a, index_t i,
     const auto pv = upper_.row_vals(k);
     assert(!pk.empty() && pk.front() == k);
     const real_t pivot = pv.front();
-    if (pivot == 0.0) {
-      throw std::runtime_error("IluFactorization: zero pivot");
-    }
+    if (pivot == 0.0) return false;
     const real_t lik = ws.w_[static_cast<std::size_t>(k)] / pivot;
     ws.w_[static_cast<std::size_t>(k)] = lik;
     for (std::size_t s = 1; s < pk.size(); ++s) {
@@ -219,9 +219,7 @@ void IluFactorization::factor_row(const CsrMatrix& a, index_t i,
   for (std::size_t t = 0; t < uc.size(); ++t) {
     uv[t] = ws.w_[static_cast<std::size_t>(uc[t])];
   }
-  if (uv.empty() || uc.front() != i || uv.front() == 0.0) {
-    throw std::runtime_error("IluFactorization: zero pivot on diagonal");
-  }
+  return !uv.empty() && uc.front() == i && uv.front() != 0.0;
 }
 
 }  // namespace rtl

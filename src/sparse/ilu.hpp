@@ -1,5 +1,7 @@
 #pragma once
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/dependence_graph.hpp"
@@ -21,6 +23,21 @@
 ///      (Figure 13) — and is therefore parallelized with the same
 ///      inspector/executor machinery.
 namespace rtl {
+
+/// Thrown by a numeric factorization that met a zero pivot. `row()` is the
+/// lowest-numbered row whose elimination failed, independent of the
+/// processor count and schedule.
+class ZeroPivotError : public std::runtime_error {
+ public:
+  explicit ZeroPivotError(index_t row)
+      : std::runtime_error("IluFactorization: zero pivot in row " +
+                           std::to_string(row)),
+        row_(row) {}
+  [[nodiscard]] index_t row() const noexcept { return row_; }
+
+ private:
+  index_t row_;
+};
 
 /// Pattern + values of an incomplete factorization A ~= L U with unit
 /// lower-triangular L (strict part stored) and upper-triangular U
@@ -61,14 +78,19 @@ class IluFactorization {
   };
 
   /// Sequential numeric factorization of `a` over the symbolic pattern.
-  /// Throws `std::runtime_error` on a zero pivot.
+  /// Throws `ZeroPivotError` on a zero pivot.
   void factor(const CsrMatrix& a);
 
   /// Numeric elimination of a single row (Figure 13's loop body). Safe to
   /// call concurrently for distinct rows provided every row in
   /// `row_dependences().deps(i)` has already been factored — exactly the
-  /// contract the executors enforce.
-  void factor_row(const CsrMatrix& a, index_t i, Workspace& ws);
+  /// contract the executors enforce. Returns false when row i's pivot, or
+  /// that of a pivot row it eliminates with, is zero; the row's values
+  /// are then unspecified. Never throws, so a failing row inside a
+  /// flag-waiting executor region still completes and its successors are
+  /// released: the caller raises the error after the region joins.
+  [[nodiscard]] bool factor_row(const CsrMatrix& a, index_t i,
+                                Workspace& ws) noexcept;
 
   /// Matrix dimension.
   [[nodiscard]] index_t size() const noexcept { return lower_.rows(); }

@@ -165,7 +165,6 @@ void par_batch_dot(ThreadTeam& team, ConstBatchView x, ConstBatchView y,
     for (index_t i = b; i < e; ++i) {
       const real_t* xi = x.row(i);
       const real_t* yi = y.row(i);
-      RTL_SIMD_LOOP
       for (std::size_t j = 0; j < k; ++j) s[j] += xi[j] * yi[j];
     }
   });
@@ -192,7 +191,6 @@ void par_demote(ThreadTeam& team, ConstBatchView src, BatchViewF dst) {
   team.parallel_blocks(src.rows(), [=](int, index_t b, index_t e) {
     const std::size_t lo = static_cast<std::size_t>(b) * w;
     const std::size_t hi = static_cast<std::size_t>(e) * w;
-    RTL_SIMD_LOOP
     for (std::size_t t = lo; t < hi; ++t) d[t] = static_cast<float>(s[t]);
   });
 }
@@ -205,7 +203,6 @@ void par_promote(ThreadTeam& team, ConstBatchViewF src, BatchView dst) {
   team.parallel_blocks(src.rows(), [=](int, index_t b, index_t e) {
     const std::size_t lo = static_cast<std::size_t>(b) * w;
     const std::size_t hi = static_cast<std::size_t>(e) * w;
-    RTL_SIMD_LOOP
     for (std::size_t t = lo; t < hi; ++t) d[t] = static_cast<real_t>(s[t]);
   });
 }

@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <string>
+#include <thread>
 
+#include "core/executors.hpp"
+#include "runtime/thread_team.hpp"
+#include "solver/ilu_preconditioner.hpp"
 #include "sparse/ilu.hpp"
 #include "sparse/triangular.hpp"
 #include "workload/problems.hpp"
@@ -235,6 +245,94 @@ TEST(IluNumericTest, ThrowsOnZeroPivot) {
   const CsrMatrix a(2, 2, {0, 2, 4}, {0, 1, 0, 1}, {0.0, 1.0, 1.0, 1.0});
   IluFactorization ilu(a, 0);
   EXPECT_THROW(ilu.factor(a), std::runtime_error);
+}
+
+/// Lower-triangular 5-point operator on a side x side grid (diagonal 4,
+/// west and south neighbors -1) with the diagonal of row `zero_row` set
+/// to 0. A has no upper off-diagonals, so ILU(0) keeps U = diag(A) and
+/// the pivot of `zero_row` is exactly 0; every row reachable from it
+/// depends on the failing row.
+CsrMatrix lower_five_point_with_zero_pivot(index_t side, index_t zero_row) {
+  std::vector<index_t> ptr{0};
+  std::vector<index_t> col;
+  std::vector<real_t> val;
+  for (index_t i = 0; i < side * side; ++i) {
+    if (i >= side) {
+      col.push_back(i - side);
+      val.push_back(-1.0);
+    }
+    if (i % side != 0) {
+      col.push_back(i - 1);
+      val.push_back(-1.0);
+    }
+    col.push_back(i);
+    val.push_back(i == zero_row ? 0.0 : 4.0);
+    ptr.push_back(static_cast<index_t>(col.size()));
+  }
+  const index_t n = side * side;
+  return {n, n, std::move(ptr), std::move(col), std::move(val)};
+}
+
+/// Runs `fn` on its own thread. A wedged team cannot be joined, so a run
+/// that misses `deadline` fails the test and ends the process instead of
+/// hanging the suite.
+template <class Fn>
+void within_deadline(std::chrono::seconds deadline, Fn fn) {
+  std::packaged_task<void()> task(std::move(fn));
+  std::future<void> done = task.get_future();
+  std::thread runner(std::move(task));
+  if (done.wait_for(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << "no result within " << deadline.count() << " s";
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  runner.join();
+  done.get();
+}
+
+TEST(IluNumericTest, SequentialZeroPivotNamesTheRow) {
+  const CsrMatrix a = lower_five_point_with_zero_pivot(8, 37);
+  IluFactorization ilu(a, 0);
+  try {
+    ilu.factor(a);
+    FAIL() << "expected ZeroPivotError";
+  } catch (const ZeroPivotError& e) {
+    EXPECT_EQ(e.row(), 37);
+  }
+}
+
+TEST(IluNumericTest, ParallelZeroPivotEndsWithTypedErrorWithinDeadline) {
+  // A zero pivot inside the flag-waiting factorization region: every
+  // member must finish (the failing row still publishes its flag) and
+  // factor() must then throw the typed error naming the lowest failing
+  // row, at every processor count and under every executor.
+  const CsrMatrix a = lower_five_point_with_zero_pivot(8, 37);
+  ASSERT_EQ(a.rows(), 64);
+  for (const int procs : {1, 2, 4}) {
+    for (const auto exec :
+         {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
+          ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
+          ExecutionPolicy::kWindowed}) {
+      SCOPED_TRACE("procs=" + std::to_string(procs) +
+                   " exec=" + std::to_string(static_cast<int>(exec)));
+      ThreadTeam team(procs);
+      DoconsiderOptions opts;
+      opts.execution = exec;
+      IluPreconditioner precond(team, a, 0, opts);
+      within_deadline(std::chrono::seconds(20), [&] {
+        try {
+          precond.factor(team, a);
+          ADD_FAILURE() << "expected ZeroPivotError";
+        } catch (const ZeroPivotError& e) {
+          EXPECT_EQ(e.row(), 37);
+        }
+      });
+      // The team is not wedged: it still runs regions.
+      std::atomic<int> ran{0};
+      team.run([&](int) { ran.fetch_add(1); });
+      EXPECT_EQ(ran.load(), procs);
+    }
+  }
 }
 
 TEST(IluNumericTest, RejectsNonSquare) {

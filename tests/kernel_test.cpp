@@ -109,21 +109,6 @@ TEST(BatchViewTest, FloatBuffersAndPrecisionConversionRoundTrip) {
   EXPECT_EQ(back.view().at(2, 0), 3.0f);
 }
 
-TEST(ExecStateTest, BatchWidthDefaultsToOneAndExecuteResetsIt) {
-  ThreadTeam team(2);
-  Factored f;
-  const auto plan = lower_plan_for(team, f.ilu);
-  ExecState state(*plan);
-  EXPECT_EQ(state.batch_width(), 1);
-  state.prepare_batch(8);
-  EXPECT_EQ(state.batch_width(), 8);
-  // Plain execute is a width-1 execution by contract: the width is never
-  // a sticky leftover (the pipelined executor sizes its panel
-  // decomposition and pending-counter array from it).
-  plan->execute(team, [](index_t) {}, state);
-  EXPECT_EQ(state.batch_width(), 1);
-}
-
 // ---------------------------------------------------------------------
 // Binding validation: every mismatch throws std::invalid_argument.
 // ---------------------------------------------------------------------
@@ -319,41 +304,6 @@ TEST_P(KernelSolveTest, IluApplyKernelMatchesSequentialLUSolve) {
     apply.apply(team, colr, got);
     for (index_t i = 0; i < n; ++i) {
       ASSERT_EQ(z.view().at(i, j), got[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
-TEST_P(KernelSolveTest, SimdAndScalarDispatchesAgreeBitForBit) {
-  // The bind-time SIMD/scalar dispatch must be invisible in the results:
-  // `omp simd` asserts lane independence but never reassociates within a
-  // lane, so both flavors perform the identical rounded-op sequence.
-  ThreadTeam team(GetParam());
-  Factored f;
-  const index_t n = f.ilu.size();
-  IluApplyKernel apply(
-      BoundKernel::lower(lower_plan_for(team, f.ilu), f.ilu.lower()),
-      BoundKernel::upper(upper_plan_for(team, f.ilu), f.ilu.upper()));
-
-  const index_t k = 16;
-  BatchBuffer r(n, k), z_scalar(n, k), z_simd(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    std::vector<real_t> col(f.system.rhs);
-    for (index_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] *=
-          1.0 + 0.0625 * static_cast<real_t>((i + j) % 11);
-    }
-    r.set_column(j, col);
-  }
-  apply.select_simd(false);
-  EXPECT_FALSE(apply.simd_enabled());
-  apply.apply(team, r.view(), z_scalar.view());
-  apply.select_simd(true);
-  EXPECT_EQ(apply.simd_enabled(), simd_compiled());
-  apply.apply(team, r.view(), z_simd.view());
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(z_simd.view().at(i, j), z_scalar.view().at(i, j))
-          << "col=" << j << " row=" << i;
     }
   }
 }

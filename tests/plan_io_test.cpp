@@ -7,10 +7,11 @@
 //      plan field for field — fingerprint, dependence CSR, wavefront CSR,
 //      schedule, stats, memory footprint — and a loaded plan's executions
 //      are bit-for-bit identical to the original's, including batched
-//      executions through the barrier and pipelined paths.
+//      executions.
 //   2. Corruption safety: truncation at any byte, any bit flip, wrong
-//      magic, a future format version, a mismatched fingerprint, or
-//      non-normalized options always throw a typed `PlanIoError` — never
+//      magic, a future format version, a mismatched fingerprint,
+//      non-normalized options, an unknown (or retired) execution policy,
+//      or a non-zero reserved word always throw a typed `PlanIoError` — never
 //      a crash, hang, or a malformed plan. Random instances honor
 //      RTL_TEST_SEED (failures print the replay seed).
 //   3. Golden fixture: tests/data/golden_plan_v1.rtlplan, produced once
@@ -75,12 +76,12 @@ struct RecurrenceBody {
   real_t* x;
   index_t k;
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     const auto deps = g->deps(i);
     const std::size_t w = static_cast<std::size_t>(k);
     const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t* xi = x + static_cast<std::size_t>(i) * w;
-    for (index_t j = j0; j < j1; ++j) {
+    for (index_t j = 0; j < k; ++j) {
       real_t v = ri[static_cast<std::size_t>(j)];
       for (const index_t d : deps) {
         v += 0.5 * x[static_cast<std::size_t>(d) * w +
@@ -90,20 +91,13 @@ struct RecurrenceBody {
       xi[static_cast<std::size_t>(j)] = v;
     }
   }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
 std::vector<real_t> run_batch(const Plan& plan, ThreadTeam& team,
                               const DependenceGraph& g,
                               const std::vector<real_t>& rhs, index_t k) {
   std::vector<real_t> x(rhs.size(), 0.0);
-  RecurrenceBody body{&g, rhs.data(), x.data(), k};
-  if (k == 1) {
-    plan.execute(team, body);
-  } else {
-    plan.execute_batch(team, k, body);
-  }
+  plan.execute(team, RecurrenceBody{&g, rhs.data(), x.data(), k});
   return x;
 }
 
@@ -189,10 +183,14 @@ void expect_identical(const Plan& a, const Plan& b) {
 // 1. Round trip
 // ---------------------------------------------------------------------------
 
+// No padding: CTest names each case after the parameter's raw bytes (as
+// GoogleTest prints it), and a 32-bit `nproc` would put four indeterminate
+// bytes into the name.
 struct RoundTripParam {
-  int nproc;
+  std::int64_t nproc;
   std::uint64_t seed;
 };
+static_assert(sizeof(RoundTripParam) == 16, "no padding in RoundTripParam");
 
 class PlanIoRoundTrip : public ::testing::TestWithParam<RoundTripParam> {};
 
@@ -219,7 +217,7 @@ TEST_P(PlanIoRoundTrip, EveryPolicyCombinationSurvivesSaveLoad) {
   const ExecutionPolicy execs[] = {
       ExecutionPolicy::kPreScheduled,  ExecutionPolicy::kSelfExecuting,
       ExecutionPolicy::kDoAcross,      ExecutionPolicy::kSelfScheduled,
-      ExecutionPolicy::kWindowed,      ExecutionPolicy::kPipelined};
+      ExecutionPolicy::kWindowed};
 
   for (const SchedulingPolicy sched : scheds) {
     for (const ExecutionPolicy exec : execs) {
@@ -227,7 +225,6 @@ TEST_P(PlanIoRoundTrip, EveryPolicyCombinationSurvivesSaveLoad) {
       opts.scheduling = sched;
       opts.execution = exec;
       opts.window = 3;  // non-default, so the field round trip is visible
-      opts.panel = 2;
       SCOPED_TRACE("sched=" + std::to_string(static_cast<int>(sched)) +
                    " exec=" + std::to_string(static_cast<int>(exec)));
 
@@ -242,9 +239,7 @@ TEST_P(PlanIoRoundTrip, EveryPolicyCombinationSurvivesSaveLoad) {
       EXPECT_EQ(to_bytes(*loaded), image);
 
       // A loaded plan must execute bit-for-bit like the original, width 1
-      // and batched (the batched path covers the barrier machinery and —
-      // for kPipelined — the rebuilt successor adjacency and panel
-      // decomposition).
+      // and batched.
       EXPECT_EQ(run_batch(plan, team, g, rhs1, 1),
                 run_batch(*loaded, team, g, rhs1, 1));
       EXPECT_EQ(run_batch(plan, team, g, rhs, kWide),
@@ -327,8 +322,8 @@ TEST(PlanIoCorruption, RandomBitFlipsOnLargerImageAreRejected) {
   ThreadTeam team(4);
   const auto g = random_dag(120, 3, seed);
   DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 2;
+  opts.execution = ExecutionPolicy::kWindowed;
+  opts.window = 2;
   const Plan plan(team, DependenceGraph(g), opts);
   const std::string image = to_bytes(plan);
 
@@ -389,6 +384,34 @@ TEST(PlanIoCorruption, NonNormalizedOptionsAreRejected) {
   const Plan plan(team, DependenceGraph(g), {});
   std::string image = to_bytes(plan);
   image[64] = 5;  // DoconsiderOptions::window, u64 LSB at offset 64
+  reseal(image);
+  EXPECT_EQ(load_errc(image), PlanIoErrc::kBadHeader);
+}
+
+TEST(PlanIoCorruption, RetiredExecutionPolicyIsRejected) {
+  // ExecutionPolicy value 5 named the retired barrier-free pipelined
+  // executor; an image naming it (or anything past the last policy) is a
+  // header error, not a plan this build could run.
+  ThreadTeam team(2);
+  const auto g = random_dag(16, 2, test_seed(9));
+  const Plan plan(team, DependenceGraph(g), {});
+  for (const unsigned char policy : {5, 6, 255}) {
+    std::string image = to_bytes(plan);
+    image[60] = static_cast<char>(policy);  // ExecutionPolicy, u32 LSB
+    reseal(image);
+    EXPECT_EQ(load_errc(image), PlanIoErrc::kBadHeader)
+        << "policy " << static_cast<int>(policy);
+  }
+}
+
+TEST(PlanIoCorruption, NonZeroReservedWordIsRejected) {
+  // The u64 at offset 72 is reserved: every image stores 0 there.
+  ThreadTeam team(2);
+  const auto g = random_dag(16, 2, test_seed(10));
+  const Plan plan(team, DependenceGraph(g), {});
+  std::string image = to_bytes(plan);
+  EXPECT_EQ(image[72], 0);
+  image[72] = 2;
   reseal(image);
   EXPECT_EQ(load_errc(image), PlanIoErrc::kBadHeader);
 }

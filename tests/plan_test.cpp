@@ -87,7 +87,7 @@ TEST_P(PlanTest, EveryExecutionPolicyMatchesSequential) {
     for (const auto exec :
          {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
           ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
-          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined}) {
+          ExecutionPolicy::kWindowed}) {
       DoconsiderOptions opts;
       opts.scheduling = sched;
       opts.execution = exec;
@@ -150,16 +150,16 @@ TEST_P(PlanTest, PooledExecuteIsRepeatable) {
 }
 
 TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
-  // Plan::execute_batch runs the loop once with the body sweeping all k
-  // right-hand sides per iteration; results must equal k independent
-  // single executions and the state must report the batch width.
+  // One execution whose body sweeps all k right-hand sides per iteration
+  // must equal k independent single executions: a published flag (or a
+  // passed barrier) covers every lane of the iteration.
   ThreadTeam team(GetParam());
   auto loop = SimpleLoop::make(350, 76);
   const index_t n = static_cast<index_t>(loop.ia.size());
   constexpr index_t kWidth = 3;
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined}) {
+        ExecutionPolicy::kWindowed}) {
     DoconsiderOptions opts;
     opts.execution = exec;
     const Plan plan(team, loop.dependences(), opts);
@@ -174,7 +174,7 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
             static_cast<real_t>(j + 1);
       }
     }
-    plan.execute_batch(team, kWidth, [&](index_t i) {
+    plan.execute(team, [&](index_t i) {
       if (i == 0) return;
       const index_t d = loop.ia[static_cast<std::size_t>(i)];
       for (index_t j = 0; j < kWidth; ++j) {
@@ -183,7 +183,6 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
             batch[static_cast<std::size_t>(d * kWidth + j)];
       }
     }, state);
-    EXPECT_EQ(state.batch_width(), kWidth);
 
     for (index_t j = 0; j < kWidth; ++j) {
       std::vector<real_t> x(static_cast<std::size_t>(n));
@@ -204,47 +203,47 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
 }
 
 TEST_P(PlanTest, PooledStateSurvivesAlternatingBatchWidths) {
-  // Regression for the ExecState pool-reuse sizing bug: a pooled state
-  // leased by a k=1 pipelined execute and then re-leased by a k=16
-  // execute_batch must re-validate its pending-counter array for the new
-  // task count (n * panels) instead of trusting the k=1 sizing — and the
-  // k=1 run after that must not inherit the width-16 panel decomposition.
+  // A pooled state leased by a k=1 execute and then re-leased by a k=16
+  // execute must come back fully reset (ready flags, self-scheduling
+  // cursor) whatever width the previous execution ran.
   ThreadTeam team(GetParam());
   auto loop = SimpleLoop::make(222, 77);
   const index_t n = static_cast<index_t>(loop.ia.size());
   constexpr index_t kWide = 16;
-  DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 3;
-  const Plan plan(team, loop.dependences(), opts);
   const auto expected = loop.sequential_result();
+  for (const auto exec :
+       {ExecutionPolicy::kSelfExecuting, ExecutionPolicy::kSelfScheduled}) {
+    DoconsiderOptions opts;
+    opts.execution = exec;
+    const Plan plan(team, loop.dependences(), opts);
 
-  for (int round = 0; round < 2; ++round) {
-    std::vector<real_t> x = loop.x0;
-    plan.execute(team, loop.body(x));
-    ASSERT_EQ(x, expected) << "round " << round << " k=1";
+    for (int round = 0; round < 2; ++round) {
+      std::vector<real_t> x = loop.x0;
+      plan.execute(team, loop.body(x));
+      ASSERT_EQ(x, expected) << "round " << round << " k=1";
 
-    std::vector<real_t> batch(static_cast<std::size_t>(n * kWide));
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j < kWide; ++j) {
-        batch[static_cast<std::size_t>(i * kWide + j)] =
-            loop.x0[static_cast<std::size_t>(i)];
+      std::vector<real_t> batch(static_cast<std::size_t>(n * kWide));
+      for (index_t i = 0; i < n; ++i) {
+        for (index_t j = 0; j < kWide; ++j) {
+          batch[static_cast<std::size_t>(i * kWide + j)] =
+              loop.x0[static_cast<std::size_t>(i)];
+        }
       }
-    }
-    plan.execute_batch(team, kWide, [&](index_t i) {
-      if (i == 0) return;
-      const index_t d = loop.ia[static_cast<std::size_t>(i)];
-      for (index_t j = 0; j < kWide; ++j) {
-        batch[static_cast<std::size_t>(i * kWide + j)] +=
-            loop.b[static_cast<std::size_t>(i)] *
-            batch[static_cast<std::size_t>(d * kWide + j)];
-      }
-    });
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j < kWide; ++j) {
-        ASSERT_EQ(batch[static_cast<std::size_t>(i * kWide + j)],
-                  expected[static_cast<std::size_t>(i)])
-            << "round " << round << " col=" << j << " row=" << i;
+      plan.execute(team, [&](index_t i) {
+        if (i == 0) return;
+        const index_t d = loop.ia[static_cast<std::size_t>(i)];
+        for (index_t j = 0; j < kWide; ++j) {
+          batch[static_cast<std::size_t>(i * kWide + j)] +=
+              loop.b[static_cast<std::size_t>(i)] *
+              batch[static_cast<std::size_t>(d * kWide + j)];
+        }
+      });
+      for (index_t i = 0; i < n; ++i) {
+        for (index_t j = 0; j < kWide; ++j) {
+          ASSERT_EQ(batch[static_cast<std::size_t>(i * kWide + j)],
+                    expected[static_cast<std::size_t>(i)])
+              << "round " << round << " col=" << j << " row=" << i;
+        }
       }
     }
   }

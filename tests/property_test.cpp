@@ -42,12 +42,17 @@ DependenceGraph random_dag(index_t n, int max_deg, std::uint64_t seed) {
   return DependenceGraph::from_lists(preds);
 }
 
+// CTest names each case after GoogleTest's print of its parameter, which
+// for this struct is its raw bytes. So the struct has no padding: a 32-bit
+// `nproc` would leave four indeterminate bytes before `seed`, and the case
+// names would change from run to run.
 struct PropertyParam {
   index_t n;
   int max_deg;
-  int nproc;
+  std::int64_t nproc;
   std::uint64_t seed;
 };
+static_assert(sizeof(PropertyParam) == 24, "no padding in PropertyParam");
 
 class DagPropertyTest : public ::testing::TestWithParam<PropertyParam> {};
 
@@ -379,13 +384,13 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
   }
 }
 
-TEST_P(DagPropertyTest, PipelinedBatchedSolveIsBitForBitBarrierSolve) {
-  // The acceptance property of the pipelined executor: for random DAGs,
-  // every processor count 1..8 and k in {1, 4, 16}, the barrier-free
-  // pipelined batched solve is bit-for-bit identical to the pre-scheduled
-  // (barrier) batched solve. The panel width 3 does not divide either
-  // batch width, so the last panel of every row is ragged — the panel
-  // decomposition must not change a single bit of any lane.
+TEST_P(DagPropertyTest, BatchedSolveIsBitForBitSequentialReference) {
+  // The pin between the one kernel body per kind and the sequential
+  // reference: for random DAGs, every executor policy, every processor
+  // count 1..8 and k in {1, 4, 16}, each column of the batched solve
+  // equals a plain sequential forward substitution (subtract entries in
+  // storage order) of that column, bit-for-bit, on both the gather and
+  // the layout data path.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
@@ -395,82 +400,51 @@ TEST_P(DagPropertyTest, PipelinedBatchedSolveIsBitForBitBarrierSolve) {
 
   std::mt19937_64 rng(seed ^ 0xfeed);
   std::uniform_real_distribution<real_t> dist(-10.0, 10.0);
-  for (int nproc = 1; nproc <= 8; ++nproc) {
-    ThreadTeam team(nproc);
-    DoconsiderOptions barrier_opts;
-    barrier_opts.execution = ExecutionPolicy::kPreScheduled;
-    DoconsiderOptions pipe_opts;
-    pipe_opts.execution = ExecutionPolicy::kPipelined;
-    pipe_opts.panel = 3;
-    auto barrier_kernel = BoundKernel::lower(
-        std::make_shared<const Plan>(team, DependenceGraph(g), barrier_opts),
-        lower);
-    auto pipe_kernel = BoundKernel::lower(
-        std::make_shared<const Plan>(team, DependenceGraph(g), pipe_opts),
-        lower);
-    for (const index_t k : {1, 4, 16}) {
-      BatchBuffer rhs(n, k);
+  std::vector<BatchBuffer> rhs;
+  std::vector<BatchBuffer> ref;
+  for (const index_t k : {1, 4, 16}) {
+    BatchBuffer b(n, k), x(n, k);
+    for (index_t i = 0; i < n; ++i) {
       for (index_t j = 0; j < k; ++j) {
-        std::vector<real_t> colv(static_cast<std::size_t>(n));
-        for (auto& v : colv) v = dist(rng);
-        rhs.set_column(j, colv);
-      }
-      BatchBuffer got_barrier(n, k), got_pipe(n, k);
-      barrier_kernel.solve(team, rhs.view(), got_barrier.view());
-      pipe_kernel.solve(team, rhs.view(), got_pipe.view());
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got_pipe.view().at(i, j), got_barrier.view().at(i, j))
-              << "nproc=" << nproc << " k=" << k << " col=" << j
-              << " row=" << i;
+        b.view().at(i, j) = dist(rng);
+        real_t sum = b.view().at(i, j);
+        const auto cs = lower.row_cols(i);
+        const auto vs = lower.row_vals(i);
+        for (std::size_t t = 0; t < cs.size(); ++t) {
+          sum -= vs[t] * x.view().at(cs[t], j);
         }
+        x.view().at(i, j) = sum;
       }
     }
+    rhs.push_back(std::move(b));
+    ref.push_back(std::move(x));
   }
-}
 
-TEST_P(DagPropertyTest, SimdBatchedSolveIsBitForBitScalarEverywhere) {
-  // The acceptance property of the SIMD dispatch: for random DAGs, every
-  // executor (including pipelined with a ragged panel), and k in
-  // {1, 4, 16}, the vectorized batched solve equals the scalar one
-  // bit-for-bit. `omp simd` only asserts cross-lane independence — the
-  // rounded-op sequence within each lane is identical — so a single
-  // differing bit means a kernel body reordered arithmetic.
-  const auto param = GetParam();
-  const std::uint64_t seed = test_seed(param.seed);
-  SCOPED_TRACE(seed_trace(seed));
-  const auto g = random_dag(param.n, param.max_deg, seed);
-  const CsrMatrix lower = lower_matrix_from_dag(g, seed ^ 0xbeef);
-  const index_t n = g.size();
-
-  std::mt19937_64 rng(seed ^ 0x51d);
-  std::uniform_real_distribution<real_t> dist(-10.0, 10.0);
-  ThreadTeam team(param.nproc);
-  for (const auto exec :
-       {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kPipelined}) {
-    DoconsiderOptions opts;
-    opts.execution = exec;
-    if (exec == ExecutionPolicy::kPipelined) opts.panel = 3;
-    auto kernel = BoundKernel::lower(
-        std::make_shared<const Plan>(team, DependenceGraph(g), opts), lower);
-    for (const index_t k : {1, 4, 16}) {
-      BatchBuffer rhs(n, k);
-      for (index_t j = 0; j < k; ++j) {
-        std::vector<real_t> colv(static_cast<std::size_t>(n));
-        for (auto& v : colv) v = dist(rng);
-        rhs.set_column(j, colv);
-      }
-      BatchBuffer got_scalar(n, k), got_simd(n, k);
-      kernel.select_simd(false);
-      kernel.solve(team, rhs.view(), got_scalar.view());
-      kernel.select_simd(true);
-      kernel.solve(team, rhs.view(), got_simd.view());
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got_simd.view().at(i, j), got_scalar.view().at(i, j))
-              << "exec=" << static_cast<int>(exec) << " k=" << k
-              << " col=" << j << " row=" << i;
+  for (int nproc = 1; nproc <= 8; ++nproc) {
+    ThreadTeam team(nproc);
+    for (const auto exec :
+         {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
+          ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
+          ExecutionPolicy::kWindowed}) {
+      DoconsiderOptions opts;
+      opts.execution = exec;
+      auto kernel = BoundKernel::lower(
+          std::make_shared<const Plan>(team, DependenceGraph(g), opts),
+          lower);
+      for (std::size_t w = 0; w < rhs.size(); ++w) {
+        const index_t k = rhs[w].width();
+        for (const bool layout : {false, true}) {
+          kernel.select_layout(layout);
+          BatchBuffer got(n, k);
+          kernel.solve(team, rhs[w].view(), got.view());
+          for (index_t j = 0; j < k; ++j) {
+            for (index_t i = 0; i < n; ++i) {
+              ASSERT_EQ(got.view().at(i, j), ref[w].view().at(i, j))
+                  << "exec=" << static_cast<int>(exec) << " nproc=" << nproc
+                  << " k=" << k << " layout=" << layout << " col=" << j
+                  << " row=" << i;
+            }
+          }
         }
       }
     }
@@ -479,8 +453,8 @@ TEST_P(DagPropertyTest, SimdBatchedSolveIsBitForBitScalarEverywhere) {
 
 TEST_P(DagPropertyTest, LayoutBatchedSolveIsBitForBitGatherEverywhere) {
   // The acceptance property of the bind-time execution layout: for random
-  // DAGs, EVERY executor policy (including pipelined with a ragged
-  // panel), every processor count 1..8 and k in {1, 4, 16}, the
+  // DAGs, EVERY executor policy, every processor count 1..8 and
+  // k in {1, 4, 16}, the
   // schedule-order packed path (select_layout(true)) equals the CSR
   // gather path bit-for-bit, on the batched views and on the single-RHS
   // vector path. The layout permutes loads only — per-lane arithmetic
@@ -501,10 +475,9 @@ TEST_P(DagPropertyTest, LayoutBatchedSolveIsBitForBitGatherEverywhere) {
     for (const auto exec :
          {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
           ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
-          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined}) {
+          ExecutionPolicy::kWindowed}) {
       DoconsiderOptions opts;
       opts.execution = exec;
-      if (exec == ExecutionPolicy::kPipelined) opts.panel = 3;
       auto kernel = BoundKernel::lower(
           std::make_shared<const Plan>(team, DependenceGraph(g), opts),
           lower);

@@ -1,5 +1,5 @@
 // Tests for the runtime substrate: thread team, barrier, ready flags,
-// spin waits, block partitioning, work-stealing deque — plus the
+// spin waits, block partitioning, sync-event counters — plus the
 // `Runtime` plan cache's on-disk tier (lookup order memory LRU → disk →
 // inspector, atomic write-back, reject-and-reinspect of invalid images).
 
@@ -24,7 +24,6 @@
 #include "runtime/spin_wait.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
-#include "runtime/work_deque.hpp"
 
 namespace rtl {
 namespace {
@@ -254,119 +253,13 @@ TEST(SpinWaitTest, SpinUntilObservesPredicate) {
   EXPECT_TRUE(flag.load());
 }
 
-TEST(WorkStealingDequeTest, OwnerPopsLifoThievesStealFifo) {
-  WorkStealingDeque dq;
-  for (std::uint64_t v = 0; v < 5; ++v) dq.push(v);
-  EXPECT_EQ(dq.size(), 5);
-  std::uint64_t item = 99;
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 4u);  // owner end: most recent first
-  ASSERT_TRUE(dq.steal(item));
-  EXPECT_EQ(item, 0u);  // thief end: oldest first
-  ASSERT_TRUE(dq.steal(item));
-  EXPECT_EQ(item, 1u);
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 3u);
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 2u);
-  EXPECT_FALSE(dq.pop(item));
-  EXPECT_FALSE(dq.steal(item));
-}
-
-TEST(WorkStealingDequeTest, GrowsPastInitialCapacityPreservingOrder) {
-  WorkStealingDeque dq(2);
-  const std::uint64_t count = 1000;  // forces repeated grows
-  for (std::uint64_t v = 0; v < count; ++v) dq.push(v);
-  EXPECT_GE(dq.capacity(), static_cast<std::size_t>(count));
-  for (std::uint64_t v = 0; v < count; ++v) {
-    std::uint64_t item = ~0ull;
-    ASSERT_TRUE(dq.steal(item));
-    EXPECT_EQ(item, v);
-  }
-  std::uint64_t item;
-  EXPECT_FALSE(dq.steal(item));
-  dq.reset();
-  EXPECT_EQ(dq.size(), 0);
-}
-
-TEST(WorkStealingDequeTest, ResetEmptiesAfterPartialConsumption) {
-  WorkStealingDeque dq;
-  for (std::uint64_t v = 0; v < 8; ++v) dq.push(v);
-  std::uint64_t item;
-  ASSERT_TRUE(dq.pop(item));
-  ASSERT_TRUE(dq.steal(item));
-  dq.reset();
-  EXPECT_EQ(dq.size(), 0);
-  EXPECT_FALSE(dq.pop(item));
-  // The deque is reusable after reset.
-  dq.push(42);
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 42u);
-}
-
-TEST(WorkStealingDequeTest, ConcurrentPopAndStealConsumeEachItemOnce) {
-  // One owner pushing and popping, several thieves stealing: every pushed
-  // value must be consumed exactly once across all consumers. Runs under
-  // the TSan CI job, so this is also the deque's race audit.
-  constexpr int kThieves = 3;
-  constexpr std::uint64_t kItems = 20000;
-  WorkStealingDeque dq(4);  // small initial capacity: grows under fire
-  std::vector<std::atomic<int>> consumed(kItems);
-  for (auto& c : consumed) c.store(0, std::memory_order_relaxed);
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      std::uint64_t item;
-      while (!done.load(std::memory_order_acquire)) {
-        if (dq.steal(item)) {
-          consumed[static_cast<std::size_t>(item)].fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      }
-      // Drain whatever the owner left behind.
-      while (dq.steal(item)) {
-        consumed[static_cast<std::size_t>(item)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::uint64_t next = 0;
-  std::uint64_t item;
-  while (next < kItems) {
-    // Push a small burst, then pop some back — the owner and the thieves
-    // contend on the one-element race path constantly.
-    for (int b = 0; b < 7 && next < kItems; ++b) dq.push(next++);
-    for (int b = 0; b < 3; ++b) {
-      if (dq.pop(item)) {
-        consumed[static_cast<std::size_t>(item)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
-  }
-  while (dq.pop(item)) {
-    consumed[static_cast<std::size_t>(item)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : thieves) th.join();
-
-  for (std::uint64_t v = 0; v < kItems; ++v) {
-    ASSERT_EQ(consumed[static_cast<std::size_t>(v)].load(), 1)
-        << "item " << v << " consumed wrong number of times";
-  }
-}
-
 TEST(ThreadTeamCounters, AccumulateAndReset) {
   ThreadTeam team(2);
-  team.add_exec_counters(10, 2, 3);
-  team.add_exec_counters(5, 0, 1);
+  team.add_exec_counters(10, 3);
+  team.add_exec_counters(5, 1);
   const ExecCounters c = team.exec_counters();
   EXPECT_EQ(c.flag_publishes, 15u);
-  EXPECT_EQ(c.steals, 2u);
+  EXPECT_EQ(c.steals, 0u);  // no executor steals work
   EXPECT_EQ(c.barrier_waits, 4u);
   team.reset_exec_counters();
   const ExecCounters z = team.exec_counters();

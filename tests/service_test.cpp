@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <future>
+#include <string>
 
 #include "core/plan_io.hpp"
 #include "service/client.hpp"
@@ -408,6 +410,64 @@ TEST(SolveServiceTest, UploadOrdersBeforeDependentSolvesInOneDrain) {
   const auto reference =
       reference_solves(system, 0, {make_rhs(system.a.rows(), 0)});
   EXPECT_EQ(solved.get(), reference[0]);
+}
+
+TEST(SolveServiceTest, SingularUploadIsTypedAndServiceKeepsServing) {
+  // A zero pivot in the parallel factorization of an upload must come
+  // back as a typed error naming the row — and must not wedge the solver
+  // thread: a healthy upload and solve on the same service still succeed.
+  ServiceConfig config = test_config();
+  config.manual_drain = false;  // real solver thread
+  SolveService service(config);
+  const auto session = service.open_session();
+
+  // 8x8 lower 5-point operator with a zero diagonal at row 37: ILU(0)
+  // keeps U = diag(A), so the pivot of row 37 is exactly 0.
+  const index_t side = 8;
+  std::vector<index_t> ptr{0};
+  std::vector<index_t> col;
+  std::vector<real_t> val;
+  for (index_t i = 0; i < side * side; ++i) {
+    if (i >= side) {
+      col.push_back(i - side);
+      val.push_back(-1.0);
+    }
+    if (i % side != 0) {
+      col.push_back(i - 1);
+      val.push_back(-1.0);
+    }
+    col.push_back(i);
+    val.push_back(i == 37 ? 0.0 : 4.0);
+    ptr.push_back(static_cast<index_t>(col.size()));
+  }
+  const CsrMatrix singular(side * side, side * side, std::move(ptr),
+                           std::move(col), std::move(val));
+
+  auto bad = service.upload_matrix(session, 1, singular, 0);
+  ASSERT_EQ(bad.wait_for(std::chrono::seconds(20)), std::future_status::ready)
+      << "singular upload wedged the solver thread";
+  try {
+    bad.get();
+    FAIL() << "expected ServiceError kBadRequest";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), ServiceErrc::kBadRequest) << e.what();
+    EXPECT_NE(std::string(e.what()).find("row 37"), std::string::npos)
+        << e.what();
+  }
+
+  const LinearSystem system = five_point(6, 6);
+  auto good = service.upload_matrix(session, 2, system.a, 0);
+  ASSERT_EQ(good.wait_for(std::chrono::seconds(20)),
+            std::future_status::ready);
+  good.get();
+  const std::vector<real_t> rhs = make_rhs(system.a.rows(), 0);
+  auto solved = service.solve(session, 2, rhs);
+  ASSERT_EQ(solved.wait_for(std::chrono::seconds(20)),
+            std::future_status::ready);
+  EXPECT_EQ(solved.get(), reference_solves(system, 0, {rhs})[0]);
+  // The failed id was never registered.
+  expect_errc(ServiceErrc::kUnknownMatrix,
+              [&] { (void)service.solve(session, 1, rhs).get(); });
 }
 
 // --- service core: sessions, admission, shutdown ---------------------------

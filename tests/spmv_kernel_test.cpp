@@ -1,8 +1,8 @@
 // Tests for the SpMV kernel family: bind-once pointer resolution pinned
 // bit-for-bit to the free-function `par_spmv` and the sequential
 // `CsrMatrix::spmv`, batched applies pinned to k single applies, the
-// SIMD/scalar dispatch equality, and the float-storage mixed-precision
-// path against its documented error model (double accumulation means the
+// layout/gather equality, and the float-storage mixed-precision path
+// against its documented error model (double accumulation means the
 // only float rounding is the final store: |y_f - y_d| <= u_f * |y_d|).
 
 #include <gtest/gtest.h>
@@ -55,53 +55,22 @@ TEST_P(SpMVKernelTest, BatchedApplyIsBitForBitKSingleApplies) {
   ThreadTeam team(GetParam());
   const auto sys = five_point(13, 19);
   const auto n = sys.a.rows();
-  auto kernel = SpMVKernel::bind(sys.a);
-  for (const bool simd : {false, true}) {
-    kernel.select_simd(simd);
-    for (const index_t k : {1, 3, 8}) {
-      BatchBuffer x(n, k), y(n, k);
-      for (index_t j = 0; j < k; ++j) {
-        x.set_column(j, ramp(n, 1.0 + static_cast<real_t>(j)));
-      }
-      kernel.apply(team, x.view(), y.view());
-      std::vector<real_t> colx(static_cast<std::size_t>(n));
-      std::vector<real_t> coly(static_cast<std::size_t>(n));
-      for (index_t j = 0; j < k; ++j) {
-        x.get_column(j, colx);
-        kernel.apply(team, colx, coly);
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(y.view().at(i, j), coly[static_cast<std::size_t>(i)])
-              << "simd=" << simd << " k=" << k << " col=" << j
-              << " row=" << i;
-        }
-      }
+  const auto kernel = SpMVKernel::bind(sys.a);
+  for (const index_t k : {1, 3, 8}) {
+    BatchBuffer x(n, k), y(n, k);
+    for (index_t j = 0; j < k; ++j) {
+      x.set_column(j, ramp(n, 1.0 + static_cast<real_t>(j)));
     }
-  }
-}
-
-TEST_P(SpMVKernelTest, SimdDispatchIsBitForBitScalar) {
-  ThreadTeam team(GetParam());
-  const auto sys = five_point(23, 23);
-  const index_t n = sys.a.rows();
-  const index_t k = 16;
-  auto kernel = SpMVKernel::bind(sys.a);
-
-  BatchBuffer x(n, k), y_scalar(n, k), y_simd(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    x.set_column(j, ramp(n, 0.5 + 0.25 * static_cast<real_t>(j)));
-  }
-  kernel.select_simd(false);
-  EXPECT_FALSE(kernel.simd_enabled());
-  kernel.apply(team, x.view(), y_scalar.view());
-  kernel.select_simd(true);
-  EXPECT_EQ(kernel.simd_enabled(), simd_compiled());
-  kernel.apply(team, x.view(), y_simd.view());
-  // `omp simd` asserts lane independence; it never reassociates within a
-  // lane, so the two dispatches round identically.
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(y_simd.view().at(i, j), y_scalar.view().at(i, j))
-          << "col=" << j << " row=" << i;
+    kernel.apply(team, x.view(), y.view());
+    std::vector<real_t> colx(static_cast<std::size_t>(n));
+    std::vector<real_t> coly(static_cast<std::size_t>(n));
+    for (index_t j = 0; j < k; ++j) {
+      x.get_column(j, colx);
+      kernel.apply(team, colx, coly);
+      for (index_t i = 0; i < n; ++i) {
+        ASSERT_EQ(y.view().at(i, j), coly[static_cast<std::size_t>(i)])
+            << "k=" << k << " col=" << j << " row=" << i;
+      }
     }
   }
 }
@@ -143,28 +112,24 @@ TEST_P(SpMVKernelTest, LayoutDispatchIsBitForBitGatherAndValuesNeverStale) {
     kernel.apply(team, x, y_layout);
     EXPECT_EQ(y_layout, y_gather) << "round=" << round;
 
-    // Batched, both lane dispatches.
-    for (const bool simd : {false, true}) {
-      kernel.select_simd(simd);
-      for (const index_t k : {1, 3, 8}) {
-        BatchBuffer bx(n, k), by_gather(n, k), by_layout(n, k);
-        for (index_t j = 0; j < k; ++j) {
-          bx.set_column(j, ramp(n, 1.0 + static_cast<real_t>(j)));
-        }
-        kernel.select_layout(false);
-        kernel.apply(team, bx.view(), by_gather.view());
-        kernel.select_layout(true);
-        kernel.apply(team, bx.view(), by_layout.view());
-        for (index_t j = 0; j < k; ++j) {
-          for (index_t i = 0; i < n; ++i) {
-            ASSERT_EQ(by_layout.view().at(i, j), by_gather.view().at(i, j))
-                << "round=" << round << " simd=" << simd << " k=" << k
-                << " col=" << j << " row=" << i;
-          }
+    // Batched.
+    for (const index_t k : {1, 3, 8}) {
+      BatchBuffer bx(n, k), by_gather(n, k), by_layout(n, k);
+      for (index_t j = 0; j < k; ++j) {
+        bx.set_column(j, ramp(n, 1.0 + static_cast<real_t>(j)));
+      }
+      kernel.select_layout(false);
+      kernel.apply(team, bx.view(), by_gather.view());
+      kernel.select_layout(true);
+      kernel.apply(team, bx.view(), by_layout.view());
+      for (index_t j = 0; j < k; ++j) {
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(by_layout.view().at(i, j), by_gather.view().at(i, j))
+              << "round=" << round << " k=" << k << " col=" << j
+              << " row=" << i;
         }
       }
     }
-    kernel.select_simd(true);
   }
 }
 

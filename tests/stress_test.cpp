@@ -4,9 +4,9 @@
 //
 // This suite exists to be run under the sanitizers: the CI TSan job runs
 // `ctest -L "quick|stress"`, so every synchronization path — the phase
-// barriers, the ready-flag busy-waits, the fetch-and-add cursor, the
-// windowed hybrid, and the pipelined pending-counter/work-stealing
-// machinery — is exercised with real contention (including processor
+// barriers, the ready-flag busy-waits, the doacross stripes, the
+// fetch-and-add cursor, and the windowed hybrid — is exercised with real
+// contention (including processor
 // counts far above the host's core count) on every PR. Failures print
 // the RNG seed; replay any instance with RTL_TEST_SEED=<seed>.
 
@@ -52,20 +52,19 @@ DependenceGraph random_dag(index_t n, int max_deg, std::uint64_t seed) {
 /// Each lane's operand order is fixed by the sorted dependence list, so
 /// the result is bit-for-bit independent of the execution interleaving —
 /// any divergence from the sequential reference is a scheduler bug, not
-/// floating-point reassociation. Panel-aware: the pipelined executor may
-/// hand it any column sub-range.
+/// floating-point reassociation.
 struct RecurrenceBody {
   const DependenceGraph* g;
   const real_t* rhs;
   real_t* x;
   index_t k;
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     const auto deps = g->deps(i);
     const std::size_t w = static_cast<std::size_t>(k);
     const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t* xi = x + static_cast<std::size_t>(i) * w;
-    for (index_t j = j0; j < j1; ++j) {
+    for (index_t j = 0; j < k; ++j) {
       real_t v = ri[static_cast<std::size_t>(j)];
       for (const index_t d : deps) {
         v += 0.5 * x[static_cast<std::size_t>(d) * w +
@@ -75,8 +74,6 @@ struct RecurrenceBody {
       xi[static_cast<std::size_t>(j)] = v;
     }
   }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
 std::vector<real_t> sequential_reference(const DependenceGraph& g,
@@ -114,11 +111,11 @@ TEST_P(SchedulerStressTest, EveryPolicyMatchesSequentialAtEveryWidth) {
   } policies[] = {
       {ExecutionPolicy::kPreScheduled, "barrier"},
       {ExecutionPolicy::kSelfExecuting, "fuzzy"},
+      {ExecutionPolicy::kDoAcross, "doacross"},
       {ExecutionPolicy::kSelfScheduled, "self-scheduled"},
       {ExecutionPolicy::kWindowed, "windowed"},
-      {ExecutionPolicy::kPipelined, "pipelined"},
   };
-  // 8 procs on small hosts is deliberately oversubscribed: the stealing
+  // 8 procs on small hosts is deliberately oversubscribed: the barrier
   // and busy-wait paths must stay correct when workers are descheduled
   // mid-protocol, which is exactly what TSan + oversubscription provoke.
   const int procs[] = {1, 2, 3, 4, 8};
@@ -136,15 +133,9 @@ TEST_P(SchedulerStressTest, EveryPolicyMatchesSequentialAtEveryWidth) {
         DoconsiderOptions opts;
         opts.execution = pol.exec;
         opts.window = 2;
-        opts.panel = 3;  // ragged last panel at k=4 and k=16
         const Plan plan(team, DependenceGraph(g), opts);
         std::vector<real_t> x(rhs.size(), 0.0);
-        RecurrenceBody body{&g, rhs.data(), x.data(), k};
-        if (k == 1) {
-          plan.execute(team, body);
-        } else {
-          plan.execute_batch(team, k, body);
-        }
+        plan.execute(team, RecurrenceBody{&g, rhs.data(), x.data(), k});
         ASSERT_EQ(x, ref) << "policy=" << pol.name << " procs=" << p
                           << " k=" << k;
       }
@@ -152,11 +143,10 @@ TEST_P(SchedulerStressTest, EveryPolicyMatchesSequentialAtEveryWidth) {
   }
 }
 
-TEST_P(SchedulerStressTest, PipelinedSharedStateSurvivesWidthChurn) {
+TEST_P(SchedulerStressTest, SelfExecutingSharedStateSurvivesWidthChurn) {
   // One plan, one explicit ExecState, widths alternating 1 / 16 / 4 / 16:
-  // the pending-counter array must be re-validated for every execution's
-  // task count, never trusted from the previous width (the pool-reuse
-  // sizing bug this PR fixes).
+  // the ready flags must be reset for every execution, whatever width
+  // the previous one ran.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
@@ -165,8 +155,7 @@ TEST_P(SchedulerStressTest, PipelinedSharedStateSurvivesWidthChurn) {
 
   ThreadTeam team(4);
   DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 3;
+  opts.execution = ExecutionPolicy::kSelfExecuting;
   const Plan plan(team, DependenceGraph(g), opts);
   ExecState state(plan);
 
@@ -178,12 +167,7 @@ TEST_P(SchedulerStressTest, PipelinedSharedStateSurvivesWidthChurn) {
     for (auto& v : rhs) v = dist(rng);
     const std::vector<real_t> ref = sequential_reference(g, rhs, k);
     std::vector<real_t> x(rhs.size(), 0.0);
-    RecurrenceBody body{&g, rhs.data(), x.data(), k};
-    if (k == 1) {
-      plan.execute(team, body, state);
-    } else {
-      plan.execute_batch(team, k, body, state);
-    }
+    plan.execute(team, RecurrenceBody{&g, rhs.data(), x.data(), k}, state);
     ASSERT_EQ(x, ref) << "k=" << k;
   }
 }
@@ -192,7 +176,7 @@ TEST_P(SchedulerStressTest, LayoutKernelSurvivesWidthChurnOversubscribed) {
   // The bind-time execution layout is shared immutable state read by
   // every worker through raw pointers; batch-width churn re-sizes the
   // per-execution lane scratch but must never touch the packing. One
-  // kernel, an oversubscribed pipelined team (workers descheduled
+  // kernel, an oversubscribed self-executing team (workers descheduled
   // mid-protocol — exactly what TSan + oversubscription provoke), widths
   // alternating 1/16/4/16/1, every solve pinned bit-for-bit to the
   // gather dispatch of the same kernel.
@@ -220,8 +204,7 @@ TEST_P(SchedulerStressTest, LayoutKernelSurvivesWidthChurnOversubscribed) {
 
   ThreadTeam team(8);
   DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 3;
+  opts.execution = ExecutionPolicy::kSelfExecuting;
   auto kernel = BoundKernel::lower(
       std::make_shared<const Plan>(team, DependenceGraph(g), opts), lower);
 
